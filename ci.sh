@@ -58,8 +58,8 @@ done
 
 echo "== data-plane smoke (dataplane quick + fig1 indexed-vs-linear diff)"
 # The tuple-space index must forward bit-identically to the linear scan:
-# --diff-fig1 probes the Figure 1 exchange (base table, fast-path overlay
-# churn, overlay retirement) through both paths and exits non-zero on any
+# --diff-fig1 probes the Figure 1 exchange (base table, fast-path fragment
+# churn, fragment retirement) through both paths and exits non-zero on any
 # difference. The quick bench run checks the JSON artifact shape.
 target/release/dataplane --diff-fig1
 SDX_BENCH_QUICK=1 SDX_BENCH_JSON="$smoke_dir/dp.json" \
@@ -195,6 +195,27 @@ echo "$out" | grep -q 'naive-order blackhole' || {
 echo "$out" | grep -q '2 certified' || {
     echo "ci: delta fixture deltas no longer certify" >&2; exit 1
 }
+
+echo "== figure 9 regeneration (fast-path rule counts vs results/fig9.txt)"
+# The fast path's additional-rule counts after each update burst must match
+# the committed figure byte for byte.
+if ! target/release/fig9 | diff - results/fig9.txt; then
+    echo "ci: fig9 output diverged from results/fig9.txt" >&2; exit 1
+fi
+
+echo "== perfbench smoke (unit tests + a 2 s run of every workload)"
+# The benchmark's own arithmetic, then a short run of each workload: every
+# oracle must be evaluated ("correct": true) and no operation may fail —
+# no lost probe, no stale wire-learned route, no diverged fingerprint.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+for w in wire-churn checked-churn policy-forward; do
+    last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    if ! grep -q '"correct": true' <<< "$last" || ! grep -q '"failed": 0,' <<< "$last"; then
+        echo "ci: perfbench $w failed: ${last:0:200}" >&2; exit 1
+    fi
+    echo "perfbench $w: ${last:0:60}"
+done
 
 echo "== property harnesses (bounded fuzz sweep)"
 # The seeded fuzz harness, case-bounded for CI: parser round-trip and

@@ -421,7 +421,7 @@ fn diff_fig1() {
     };
     run_grid(&mut indexed, &mut linear, "base");
 
-    // Fast-path churn: B withdraws 13.0.0.0/8, overlay rules stack above
+    // Fast-path churn: B withdraws 13.0.0.0/8, a fresh fragment lands above
     // the base table on both sides; forwarding must stay identical.
     for sim in [&mut indexed, &mut linear] {
         sim.runtime_mut().withdraw(B, [p("13.0.0.0/8")]);
@@ -429,7 +429,7 @@ fn diff_fig1() {
     }
     run_grid(&mut indexed, &mut linear, "post-withdraw");
 
-    // And back, so overlay retirement + re-append is covered too.
+    // And back, so fragment retirement + re-install is covered too.
     for sim in [&mut indexed, &mut linear] {
         sim.runtime_mut().announce(
             B,

@@ -92,8 +92,10 @@ impl ControlPlane {
 
     /// Drain every session: advance FSMs, feed delivered UPDATEs into the
     /// runtime (which runs the fast path), and re-advertise touched prefixes
-    /// to every other established peer. Returns the number of UPDATEs
-    /// applied. Call repeatedly until it returns 0 to reach quiescence.
+    /// to every established peer — the sender included, since the fast path
+    /// re-homes each touched prefix onto a fresh VNH for every viewer.
+    /// Returns the number of UPDATEs applied. Call repeatedly until it
+    /// returns 0 to reach quiescence.
     pub fn pump(&mut self) -> usize {
         let mut applied = 0;
         let ids: Vec<ParticipantId> = self.sessions.keys().copied().collect();
@@ -129,7 +131,7 @@ impl ControlPlane {
             for update in delivered {
                 applied += 1;
                 let touched = self.runtime.apply_update(id, &update);
-                self.readvertise(&touched, Some(id));
+                self.readvertise(&touched);
             }
         }
         applied
@@ -142,13 +144,12 @@ impl ControlPlane {
         self.send_advertisements(id, &prefixes);
     }
 
-    /// Re-advertise the given prefixes to every established peer (except
-    /// `skip`, the sender).
-    fn readvertise(&mut self, prefixes: &[Prefix], skip: Option<ParticipantId>) {
+    /// Re-advertise the given prefixes to every established peer.
+    fn readvertise(&mut self, prefixes: &[Prefix]) {
         let ids: Vec<ParticipantId> = self
             .sessions
             .iter()
-            .filter(|(id, p)| p.established && Some(**id) != skip)
+            .filter(|(_, p)| p.established)
             .map(|(id, _)| *id)
             .collect();
         for id in ids {
@@ -180,7 +181,7 @@ impl ControlPlane {
     pub fn compile_and_advertise(&mut self) -> Result<crate::CompileStats, crate::CompileError> {
         let stats = self.runtime.compile()?;
         let prefixes = self.runtime.route_server().all_prefixes();
-        self.readvertise(&prefixes, None);
+        self.readvertise(&prefixes);
         Ok(stats)
     }
 }
@@ -290,10 +291,14 @@ mod tests {
 
         // The route server learned it…
         assert_eq!(cp.runtime().route_server().prefix_count(), 1);
-        // …and re-advertised it to router 1 (not back to router 2).
+        // …and re-advertised it to router 1. Router 2 hears the touched
+        // prefix too, but never its own route back: it has no other route,
+        // so it gets exactly one withdrawal.
         assert_eq!(r1.received.len(), 1);
         assert_eq!(r1.received[0].announce, vec!["20.0.0.0/8".parse().unwrap()]);
-        assert!(r2.received.is_empty());
+        assert_eq!(r2.received.len(), 1);
+        assert_eq!(r2.received[0].withdraw, vec!["20.0.0.0/8".parse().unwrap()]);
+        assert!(r2.received[0].announce.is_empty());
     }
 
     #[test]
@@ -360,6 +365,51 @@ mod tests {
         assert_eq!(r1.received.len(), 1);
         assert_eq!(r1.received[0].withdraw, vec!["20.0.0.0/8".parse().unwrap()]);
         assert!(r1.received[0].announce.is_empty());
+    }
+
+    #[test]
+    fn withdrawing_sender_learns_the_remaining_route_under_a_fresh_vnh() {
+        let mut runtime = SdxRuntime::default();
+        runtime.add_participant(participant(1));
+        runtime.add_participant(participant(2));
+        let mut cp = ControlPlane::new(runtime);
+        let mut r1 = Router::new(65_001, cp.connect(ParticipantId(1)));
+        let mut r2 = Router::new(65_002, cp.connect(ParticipantId(2)));
+        r1.start();
+        r2.start();
+        converge(&mut cp, &mut [&mut r1, &mut r2]);
+
+        // Both routers announce 20/8; the exchange compiles.
+        let prefix: Prefix = "20.0.0.0/8".parse().unwrap();
+        r1.announce(Update::announce(
+            [prefix],
+            PathAttributes::new(AsPath::sequence([65_001]), Ipv4Addr::from(0x0afe_0001)),
+        ));
+        r2.announce(Update::announce(
+            [prefix],
+            PathAttributes::new(AsPath::sequence([65_002]), Ipv4Addr::from(0x0afe_0002)),
+        ));
+        converge(&mut cp, &mut [&mut r1, &mut r2]);
+        cp.compile_and_advertise().unwrap();
+        converge(&mut cp, &mut [&mut r1, &mut r2]);
+        r2.received.clear();
+
+        // Router 2 withdraws while router 1 still announces: the fast path
+        // re-homes 20/8 onto a fresh VNH, and the sender must hear it too.
+        r2.announce(Update::withdraw([prefix]));
+        converge(&mut cp, &mut [&mut r1, &mut r2]);
+        let fresh = cp
+            .runtime()
+            .overlays()
+            .iter()
+            .find(|o| o.prefix == prefix)
+            .expect("the fast path re-homed 20/8")
+            .vnh;
+        assert_eq!(r2.received.len(), 1);
+        assert_eq!(r2.received[0].announce, vec![prefix]);
+        let attrs = r2.received[0].attrs.as_ref().unwrap();
+        assert_eq!(attrs.next_hop, fresh);
+        assert_eq!(attrs.as_path, AsPath::sequence([65_001]));
     }
 
     #[test]

@@ -2,15 +2,20 @@
 //! compiler state, ARP responder, and the fabric switch, and keeps them
 //! consistent as policies and BGP routes change.
 //!
-//! Two update paths exist, per §4.3.2:
+//! Updates follow the two stages of §4.3.2:
 //!
-//! * [`SdxRuntime::compile`] — the full pipeline: recompute FECs and VNHs,
-//!   rebuild the fabric table, re-bind ARP, refresh advertisements.
-//! * the **fast path**, invoked automatically from
-//!   [`SdxRuntime::apply_update`]: allocate a *fresh* VNH for each touched
-//!   prefix, compile only the rules mentioning its VMAC, and push them as
-//!   higher-priority overlay rules. Optimality is recovered later by
-//!   [`SdxRuntime::reoptimize`], the "background" stage.
+//! * the **fast stage**, [`SdxRuntime::apply_update`] (one path with
+//!   [`SdxRuntime::apply_update_delta`]): re-home every touched prefix onto
+//!   a *fresh* VNH, compile only the rules mentioning its VMAC, and swap
+//!   them in make-before-break — the new fragment is installed directly
+//!   above the table's live priority ceiling, then the prefix's previous
+//!   fragment is retired by cookie. With [`CompileOptions::delta_check`]
+//!   active, the incremental verifier certifies each rule-level delta
+//!   before a single rule moves.
+//! * the **background stage**, [`SdxRuntime::reoptimize`]: the full
+//!   [`SdxRuntime::compile`] pipeline — recompute FECs and VNHs, rebuild
+//!   the fabric table (which resets the priority ceiling), re-bind ARP, and
+//!   refresh advertisements.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -36,8 +41,9 @@ use crate::{Participant, ParticipantId, ParticipantPolicy};
 /// One [`RouteServer::advert_map`] snapshot: viewer → feasible advertisers.
 type AdvertMap = BTreeMap<sdx_bgp::PeerId, std::collections::BTreeSet<sdx_bgp::PeerId>>;
 
-/// One fast-path overlay: a prefix re-homed onto a fresh VNH after a BGP
-/// update, with its rules installed above the base table.
+/// One fast-path fragment: a prefix re-homed onto a fresh VNH after a BGP
+/// update, with its rules installed above the base table until the next
+/// full compile coalesces them.
 #[derive(Debug, Clone)]
 pub struct Overlay {
     /// The prefix the overlay covers.
@@ -46,32 +52,30 @@ pub struct Overlay {
     pub vnh: Ipv4Addr,
     /// Its fresh VMAC tag.
     pub vmac: MacAddr,
-    /// The flow-table cookie identifying the overlay's rules.
+    /// The flow-table cookie identifying the fragment's rules.
     pub cookie: u64,
-    /// How many rules the overlay installed (Figure 9's "additional rules").
+    /// How many rules the fragment installed (Figure 9's "additional rules").
     pub rules: usize,
 }
 
 /// Counters for the incremental path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
-    /// BGP updates processed through the fast path.
+    /// Touched prefixes processed through the fast path.
     pub updates: u64,
-    /// Total overlay rules currently installed.
+    /// Total fast-path fragment rules currently installed.
     pub overlay_rules: usize,
     /// Microseconds spent in the most recent fast-path update.
     pub last_update_us: u64,
-    /// Fast-path overlay installs refused by the flow table (priority space
-    /// exhausted); the background recompilation recovers these.
+    /// Fast-path fragments refused because their band above the live
+    /// priority ceiling would overflow the 32-bit priority space; the
+    /// background recompilation resets the ceiling and recovers these.
     pub install_errors: u64,
     /// Fast-path updates that found the VNH pool exhausted. The previous
     /// overlay (or base table) keeps serving the prefix — stale but
     /// forwarding — and [`SdxRuntime::needs_reoptimize`] is raised so the
     /// background stage recovers promptly.
     pub overlay_exhausted: u64,
-    /// Updates processed through the rule-level delta path
-    /// ([`SdxRuntime::apply_update_delta`]).
-    pub delta_events: u64,
     /// Individual rules installed by the delta path.
     pub delta_installed: u64,
     /// Individual rules removed by the delta path.
@@ -121,14 +125,12 @@ pub struct SdxRuntime {
     rpki_rejected: u64,
     last_plan: Option<PlanReport>,
     needs_reoptimize: bool,
-    delta_base: u32,
     /// The persistent incremental delta verifier; `Some` once a compile ran
     /// with [`CompileOptions::delta_check`] active (reseeded every compile).
     delta_checker: Option<sdx_plan::IncrementalChecker>,
     delta_judge_naive: bool,
     /// Run the from-scratch oracle on every nth checked delta (0 = never).
     delta_sample: u64,
-    delta_events_checked: u64,
     /// `(incremental µs, from-scratch µs)` per sampled event, capped.
     delta_samples: Vec<(u64, u64)>,
     delta_log: Vec<DeltaRecord>,
@@ -207,11 +209,9 @@ impl SdxRuntime {
             rpki_rejected: 0,
             last_plan: None,
             needs_reoptimize: false,
-            delta_base: 0,
             delta_checker: None,
             delta_judge_naive: false,
             delta_sample: 0,
-            delta_events_checked: 0,
             delta_samples: Vec::new(),
             delta_log: Vec::new(),
             delta_log_limit: 0,
@@ -226,8 +226,8 @@ impl SdxRuntime {
         self.alloc = VnhAllocator::new(pool);
     }
 
-    /// True when the fast path has degraded (VNH pool exhausted or an
-    /// overlay install refused) and a background
+    /// True when the fast path has degraded (VNH pool exhausted, priority
+    /// space exhausted, or a delta denied) and a background
     /// [`reoptimize`](Self::reoptimize) is required to restore optimal —
     /// and in the exhaustion case, *fresh* — forwarding state. Cleared by
     /// the next successful [`compile`](Self::compile).
@@ -466,14 +466,6 @@ impl SdxRuntime {
         self.overlays.clear();
         self.incremental.overlay_rules = 0;
         self.needs_reoptimize = false;
-        // The fixed priority band for subsequent delta installs starts just
-        // above the freshly installed base table.
-        self.delta_base = self
-            .switch
-            .master()
-            .table_at(0)
-            .and_then(|t| t.max_priority())
-            .unwrap_or(0);
         // Deny-skipped deltas degraded to this full reoptimize; hand the
         // count to the stats and reset the window.
         compilation.stats.delta_deny_fallbacks = self.pending_deny_fallbacks;
@@ -507,12 +499,11 @@ impl SdxRuntime {
             master
                 .table_at_mut(0)
                 .expect("table 0")
-                .append_classifier_goto(&compilation.stage1, BASE_COOKIE, 0, Some(1));
-            master.table_at_mut(1).expect("table 1").append_classifier(
-                &compilation.stage2,
-                BASE_COOKIE,
-                0,
-            );
+                .install_classifier_goto(&compilation.stage1, BASE_COOKIE, Some(1));
+            master
+                .table_at_mut(1)
+                .expect("table 1")
+                .install_classifier(&compilation.stage2, BASE_COOKIE);
         } else {
             let master = self.switch.master_mut();
             master.reset_pipeline(1);
@@ -565,9 +556,9 @@ impl SdxRuntime {
     fn reference_tables(&self, compilation: &Compilation) -> Vec<FlowTable> {
         if self.options.multi_table {
             let mut t0 = FlowTable::new();
-            t0.append_classifier_goto(&compilation.stage1, BASE_COOKIE, 0, Some(1));
+            t0.install_classifier_goto(&compilation.stage1, BASE_COOKIE, Some(1));
             let mut t1 = FlowTable::new();
-            t1.append_classifier(&compilation.stage2, BASE_COOKIE, 0);
+            t1.install_classifier(&compilation.stage2, BASE_COOKIE);
             vec![t0, t1]
         } else {
             let mut t = FlowTable::new();
@@ -644,30 +635,17 @@ impl SdxRuntime {
     }
 
     /// Ingest a BGP update from a participant. If a compilation is active,
-    /// every touched prefix goes through the fast path (fresh VNH + overlay
-    /// rules). Returns the touched prefixes.
+    /// every touched prefix goes through the fast path (see
+    /// [`apply_update_delta`](Self::apply_update_delta)). Returns the
+    /// touched prefixes.
     pub fn apply_update(&mut self, from: ParticipantId, update: &Update) -> Vec<Prefix> {
-        let touched = self.ingest_update(from, update);
-        if self.compilation.is_some() {
-            let start = Instant::now();
-            for prefix in &touched {
-                self.fast_path(*prefix);
-            }
-            self.incremental.updates = self
-                .incremental
-                .updates
-                .saturating_add(touched.len() as u64);
-            self.incremental.last_update_us =
-                u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        }
-        touched
+        self.apply_update_delta(from, update).0
     }
 
-    /// The streaming-churn variant of [`apply_update`](Self::apply_update):
-    /// every touched prefix is migrated by **rule-level deltas** computed
-    /// via `sdx_plan::diff` against the live table and applied in
-    /// make-before-break order at a fixed priority band just above the base
-    /// table — no overlay stacking, no classifier rebuild. Returns the
+    /// Ingest a BGP update and run §4.3.2's fast stage for every touched
+    /// prefix: a fresh VNH, the rules mentioning its VMAC installed above
+    /// the live priority ceiling, then the prefix's previous fragment
+    /// retired — make-before-break, no classifier rebuild. Returns the
     /// touched prefixes and the aggregate rule delta.
     pub fn apply_update_delta(
         &mut self,
@@ -687,10 +665,6 @@ impl SdxRuntime {
             self.incremental.updates = self
                 .incremental
                 .updates
-                .saturating_add(touched.len() as u64);
-            self.incremental.delta_events = self
-                .incremental
-                .delta_events
                 .saturating_add(touched.len() as u64);
             self.incremental.last_update_us =
                 u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -741,101 +715,37 @@ impl SdxRuntime {
     /// composed down to single-table form unless the pipeline runs
     /// multi-table mode.
     fn fragment_for(&self, prefix: &Prefix, vmac: MacAddr) -> Vec<sdx_policy::Rule> {
-        let multi_table = self.options.multi_table;
-        let stage2 = match &self.compilation {
-            Some(c) => c.stage2.clone(),
-            None => return Vec::new(),
+        let Some(compilation) = &self.compilation else {
+            return Vec::new();
         };
-        let input = self.input();
-        let fragment_rules = stage1_rules_for_prefix(&input, prefix, vmac);
-        if multi_table {
+        let fragment_rules = stage1_rules_for_prefix(&self.input(), prefix, vmac);
+        if self.options.multi_table {
             // Pipeline mode: the sender-stage fragment goes straight into
             // table 0 (goto 1); no composition needed.
-            fragment_rules
-        } else {
-            let fragment = Classifier::new(fragment_rules);
-            let composed = sdx_policy::sequential_compose(&fragment, &stage2);
-            // Only the rules constrained to the fresh VMAC are meaningful
-            // (the fragment's catch-all drop must not shadow the base table).
-            let vmac_pattern = sdx_policy::Pattern::Exact(vmac.to_u64());
-            composed
-                .rules()
-                .iter()
-                .filter(|r| r.match_.get(sdx_policy::Field::DstMac) == Some(&vmac_pattern))
-                .cloned()
-                .collect()
+            return fragment_rules;
         }
+        let fragment = Classifier::new(fragment_rules);
+        let composed = sdx_policy::sequential_compose(&fragment, &compilation.stage2);
+        // Only the rules constrained to the fresh VMAC are meaningful (the
+        // fragment's catch-all drop must not shadow the base table).
+        let vmac_pattern = sdx_policy::Pattern::Exact(vmac.to_u64());
+        composed
+            .rules()
+            .iter()
+            .filter(|r| r.match_.get(sdx_policy::Field::DstMac) == Some(&vmac_pattern))
+            .cloned()
+            .collect()
     }
 
     /// §4.3.2's fast stage for one prefix: assume a new VNH is needed,
-    /// compile only the rules mentioning the fresh VMAC, and push them with
-    /// priority above the base table.
-    fn fast_path(&mut self, prefix: Prefix) {
-        // A prefix with no remaining candidates needs no rules: the
-        // withdrawal propagates via BGP and routers stop tagging it.
-        if self.route_server.best_route_global(&prefix).is_none() {
-            self.retire_overlay(prefix);
-            return;
-        }
-
-        // Allocate *before* retiring the previous overlay: when the pool is
-        // exhausted the stale overlay keeps forwarding the prefix (its VNH
-        // is still advertised and its rules still present) instead of
-        // leaving it ruleless until someone happens to recompile. The
-        // condition is counted and flags the background stage.
-        let Some((vnh, vmac)) = self.alloc.allocate() else {
-            self.incremental.overlay_exhausted =
-                self.incremental.overlay_exhausted.saturating_add(1);
-            self.needs_reoptimize = true;
-            return;
-        };
-        let overlay_rules = self.fragment_for(&prefix, vmac);
-        self.retire_overlay(prefix);
-
-        let cookie = self.next_cookie;
-        self.next_cookie += 1;
-        let n = overlay_rules.len();
-        // The table computes the priority boost from its own ceiling, so
-        // repeated overlays stack strictly above the base table and each
-        // other — no collision with base priorities is possible. The append
-        // can still exhaust the priority space after enough stacked
-        // overlays; that is an operational condition, not a bug: leave the
-        // base table serving the prefix and let the background
-        // recompilation reset the ceiling.
-        let goto = self.options.multi_table.then_some(1);
-        if self
-            .switch
-            .master_mut()
-            .table_mut()
-            .append_rules_above(&overlay_rules, cookie, goto)
-            .is_err()
-        {
-            self.incremental.install_errors = self.incremental.install_errors.saturating_add(1);
-            self.needs_reoptimize = true;
-            return;
-        }
-        self.arp.bind(vnh, vmac);
-        self.incremental.overlay_rules = self.incremental.overlay_rules.saturating_add(n);
-        self.overlays.push(Overlay {
-            prefix,
-            vnh,
-            vmac,
-            cookie,
-            rules: n,
-        });
-    }
-
-    /// The steady-path variant of [`fast_path`](Self::fast_path): migrate
-    /// `prefix` by a rule-level delta instead of an overlay append. The old
-    /// fragment's live rules (identified by the retiring overlay's cookie)
-    /// and the freshly compiled fragment are diffed with `sdx_plan::diff`,
-    /// and the steps are applied in make-before-break order: installs
-    /// first, removals after. Because every fragment rule is pinned to an
-    /// exact, never-reused VMAC tag, the two sides match disjoint packets
-    /// and every intermediate state is per-packet consistent. New rules
-    /// occupy the *fixed* priority band immediately above the base table
-    /// (`delta_base`), so sustained churn does not ratchet the priority
-    /// ceiling the way stacked overlays do.
+    /// compile only the rules mentioning the fresh VMAC, and migrate the
+    /// prefix make-before-break — install the new fragment, then retire the
+    /// old one by cookie. Because every fragment rule is pinned to an exact,
+    /// never-reused VMAC tag, the two generations match disjoint packets and
+    /// every intermediate state is per-packet consistent. The new fragment
+    /// lands directly above the table's live priority ceiling, so each
+    /// fragment owns a priority band of its own; every full compile resets
+    /// the ceiling to the base table's.
     fn fast_path_delta(&mut self, prefix: Prefix) -> DeltaInstall {
         if self.route_server.best_route_global(&prefix).is_none() {
             // Withdrawal: the only rules to go are the retiring overlay's,
@@ -873,6 +783,11 @@ impl SdxRuntime {
             };
         }
 
+        // Allocate *before* retiring the previous fragment: when the pool
+        // is exhausted the stale fragment keeps forwarding the prefix (its
+        // VNH is still advertised and its rules still present) instead of
+        // leaving it ruleless until someone happens to recompile. The
+        // condition is counted and flags the background stage.
         let Some((vnh, vmac)) = self.alloc.allocate() else {
             self.incremental.overlay_exhausted =
                 self.incremental.overlay_exhausted.saturating_add(1);
@@ -881,7 +796,12 @@ impl SdxRuntime {
         };
         let fragment = self.fragment_for(&prefix, vmac);
         let n = fragment.len() as u32;
-        if self.delta_base.checked_add(n).is_none() {
+        // A long-lived runtime can run the band above the ceiling out of
+        // priority space. That is an operational condition, not a bug:
+        // leave the previous rules serving the prefix and let the
+        // background recompilation reset the ceiling.
+        let ceiling = self.switch.master().table().max_priority().unwrap_or(0);
+        if ceiling.checked_add(n).is_none() {
             self.incremental.install_errors = self.incremental.install_errors.saturating_add(1);
             self.needs_reoptimize = true;
             return DeltaInstall::default();
@@ -889,34 +809,30 @@ impl SdxRuntime {
 
         let goto = self.options.multi_table.then_some(1);
         let new_state: TableState = fragment
-            .iter()
+            .into_iter()
             .enumerate()
             .map(|(i, r)| sdx_plan::PlanRule {
-                priority: self.delta_base + n - i as u32,
-                match_: r.match_.clone(),
-                actions: r.actions.clone(),
-                goto_table: match (goto, r.actions.is_empty()) {
-                    (Some(t), false) => Some(t),
-                    _ => None,
-                },
+                priority: ceiling + n - i as u32,
+                goto_table: goto.filter(|_| !r.is_drop()),
+                match_: r.match_,
+                actions: r.actions,
             })
             .collect();
 
-        let old_state = self.overlay_state(&prefix);
-        let steps = sdx_plan::diff(&[old_state], &[new_state]);
-        let schedule = sdx_plan::make_before_break(&steps);
-
         // ---- Incremental safety gate --------------------------------------
-        // Statically certify (or reorder, or reject) the schedule before a
-        // single rule moves. A denied delta installs nothing: the stale
-        // overlay keeps forwarding and the scheduled full reoptimize
-        // recovers. (The VNH allocated above stays consumed until that
-        // reoptimize resets the pool — bounded by the deny window.)
+        // Statically certify (or reorder, or reject) the make-before-break
+        // schedule before a single rule moves. A denied delta installs
+        // nothing: the stale overlay keeps forwarding and the scheduled full
+        // reoptimize recovers. (The VNH allocated above stays consumed until
+        // that reoptimize resets the pool — bounded by the deny window.)
         let checked = if self.delta_check_active() {
+            let old_state = self.overlay_state(&prefix);
+            let steps = sdx_plan::diff(&[old_state], std::slice::from_ref(&new_state));
+            let schedule = sdx_plan::make_before_break(&steps);
             let adverts = self.route_server.advert_map(&prefix);
             let adds = self.delta_adds(&prefix, vmac, &adverts);
             let advert_now = self.delta_advert_now(&adverts);
-            self.check_streamed_delta(prefix, adds, advert_now, schedule.clone(), steps)
+            self.check_streamed_delta(prefix, adds, advert_now, schedule, steps)
         } else {
             None
         };
@@ -925,25 +841,28 @@ impl SdxRuntime {
         }
 
         // Installs, then the barrier, then removals. Old and new fragments
-        // never share rule content (distinct VMAC tags), so the diff never
-        // cancels across them: the removal side is exactly the old cookie's
-        // rules, which lets one `remove_by_cookie` retire them with a
-        // single index rebuild.
+        // never share rule content (distinct VMAC tags), so the schedule's
+        // install side is exactly the new fragment and its removal side
+        // exactly the old cookie's rules, which one `remove_by_cookie`
+        // retires with a single index rebuild.
         let cookie = self.next_cookie;
         self.next_cookie += 1;
-        let installed = schedule.barrier;
+        let installed = new_state.len();
         {
             let table = self.switch.master_mut().table_mut();
-            for step in &schedule.order[..schedule.barrier] {
-                table.install(step.rule.to_flow_rule(cookie));
+            for rule in &new_state {
+                table.install(rule.to_flow_rule(cookie));
             }
         }
         let removed = self.retire_overlay(prefix);
-        debug_assert_eq!(
-            removed,
-            schedule.order.len() - schedule.barrier,
-            "delta removal side diverged from the retiring cookie's rules"
-        );
+        if let Some((ev, _)) = &checked {
+            let schedule = &ev.schedule;
+            debug_assert_eq!(
+                (schedule.barrier, schedule.order.len() - schedule.barrier),
+                (installed, removed),
+                "checked schedule diverged from the installed delta"
+            );
+        }
         self.arp.bind(vnh, vmac);
         self.incremental.overlay_rules = self.incremental.overlay_rules.saturating_add(installed);
         self.incremental.delta_installed = self
@@ -1056,9 +975,12 @@ impl SdxRuntime {
             naive,
         };
         ev.normalize();
-        self.delta_events_checked = self.delta_events_checked.saturating_add(1);
-        let sample_due =
-            self.delta_sample > 0 && self.delta_events_checked.is_multiple_of(self.delta_sample);
+        let sample_due = self.delta_sample > 0
+            && self
+                .incremental
+                .delta_checked
+                .saturating_add(1)
+                .is_multiple_of(self.delta_sample);
 
         let start = Instant::now();
         let need = self
@@ -1312,7 +1234,7 @@ impl SdxRuntime {
     }
 
     /// The installed pipeline tables, as classifiers in traversal order
-    /// (overlay rules included at their boosted priorities).
+    /// (fast-path fragments included, above the base table).
     fn installed_tables(&self) -> Vec<Classifier> {
         (0..self.switch.master().table_count())
             .map(|i| {

@@ -1,7 +1,8 @@
-//! Fast-path degradation regressions: VNH-pool exhaustion must *degrade*
-//! (keep the stale overlay forwarding, raise `needs_reoptimize`) instead of
-//! silently dropping the update, and overlay-rule accounting must survive
-//! churn → recompile → churn interleavings without underflow.
+//! Fast-path regressions: VNH-pool exhaustion must *degrade* (keep the
+//! stale overlay forwarding, raise `needs_reoptimize`) instead of silently
+//! dropping the update, overlay-rule accounting must survive churn →
+//! recompile → churn interleavings without underflow, and each fragment
+//! must land above the live priority ceiling until a recompile resets it.
 
 use std::net::Ipv4Addr;
 
@@ -165,7 +166,7 @@ fn overlay_accounting_survives_recompile_interleaving() {
 
     let live = |sdx: &SdxRuntime| -> usize { sdx.overlays().iter().map(|o| o.rules).sum() };
 
-    // Churn both prefixes through the legacy and the delta fast paths.
+    // Churn both prefixes, through `announce` and `apply_update_delta`.
     for i in 0..4u32 {
         flip(&mut sdx, i);
         let (_, delta) = sdx.apply_update_delta(
@@ -188,8 +189,8 @@ fn overlay_accounting_survives_recompile_interleaving() {
     sdx.apply_update(C, &Update::withdraw([p("11.0.0.0/8")]));
     assert_eq!(sdx.incremental_stats().overlay_rules, live(&sdx));
 
-    // Fresh churn after the recompile accounts from zero again, on both
-    // paths, and withdrawing everything returns the counter to zero.
+    // Fresh churn after the recompile accounts from zero again, and
+    // withdrawing everything returns the counter to zero.
     for i in 0..3u32 {
         sdx.apply_update_delta(
             B,
@@ -204,4 +205,49 @@ fn overlay_accounting_survives_recompile_interleaving() {
     assert_eq!(sdx.incremental_stats().overlay_rules, live(&sdx));
     assert_eq!(sdx.overlays().len(), 0);
     assert_eq!(sdx.incremental_stats().overlay_rules, 0);
+}
+
+/// Each fast-path fragment lands strictly above the live priority ceiling —
+/// above the base table and above every earlier fragment — and the
+/// background recompile brings the ceiling back to the base table's.
+#[test]
+fn fragments_land_above_the_live_ceiling_until_reoptimize() {
+    let mut sdx = exchange();
+    sdx.compile().unwrap();
+    let ceiling = |sdx: &SdxRuntime| sdx.switch().table().max_priority().unwrap_or(0);
+    let base = ceiling(&sdx);
+
+    // Re-announcing unchanged routes still re-homes each prefix onto a
+    // fresh VNH, while the RIB — and so the next full compile — stays put.
+    let mut previous = base;
+    for (from, prefix, route) in [
+        (C, p("11.0.0.0/8"), attrs(&[300], C_NH)),
+        (B, p("12.0.0.0/8"), attrs(&[200, 65001], B_NH)),
+    ] {
+        sdx.announce(from, [prefix], route);
+        let overlay = sdx
+            .overlays()
+            .iter()
+            .find(|o| o.prefix == prefix)
+            .expect("fragment installed");
+        let priorities: Vec<u32> = sdx
+            .switch()
+            .table()
+            .rules()
+            .iter()
+            .filter(|r| r.cookie == overlay.cookie)
+            .map(|r| r.priority)
+            .collect();
+        assert_eq!(priorities.len(), overlay.rules);
+        assert!(!priorities.is_empty(), "{prefix}: empty fragment");
+        assert!(
+            priorities.iter().all(|&pr| pr > previous),
+            "{prefix}: fragment {priorities:?} not above ceiling {previous}"
+        );
+        previous = ceiling(&sdx);
+    }
+
+    sdx.reoptimize().unwrap();
+    assert!(sdx.overlays().is_empty());
+    assert_eq!(ceiling(&sdx), base);
 }

@@ -136,7 +136,7 @@ pub fn state_of_cookie(table: &FlowTable, cookie: u64) -> TableState {
 
 /// The [`TableState`] a fresh `install_classifier` of `classifier` would
 /// produce: rule `i` at priority `len - i`, `goto` on every non-drop rule
-/// when given (mirrors `FlowTable::append_classifier_goto` at boost 0).
+/// when given (mirrors `FlowTable::install_classifier_goto`).
 pub fn state_of_classifier(classifier: &Classifier, goto: Option<usize>) -> TableState {
     let n = classifier.len() as u32;
     classifier

@@ -31,4 +31,4 @@ pub use pcap::{read_pcap, CapturedFrame, PcapError, PcapWriter};
 pub use router::{BorderRouter, Forward};
 pub use shard::{flow_hash, ShardedSwitch};
 pub use switch::{BatchOutput, SoftSwitch, SwitchStats};
-pub use table::{FlowRule, FlowTable, InstallError};
+pub use table::{FlowRule, FlowTable};

@@ -1,41 +1,10 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sdx_policy::{Action, Classifier, Match, Packet, Rule};
+use sdx_policy::{Action, Classifier, Match, Packet};
 use serde::{Deserialize, Serialize};
 
 use crate::index::{IndexStats, TableIndex};
-
-/// Why a rule installation was refused. Installation paths that stack rule
-/// bands above existing contents can run the 32-bit priority space dry; that
-/// is an operational condition (recoverable by a background recompilation),
-/// not a programming error, so it surfaces as a typed error instead of a
-/// panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InstallError {
-    /// Appending `rules` rules above priority ceiling `ceiling` would
-    /// overflow the 32-bit priority space.
-    PriorityExhausted {
-        /// The table's priority ceiling before the append.
-        ceiling: u32,
-        /// How many rules the append needed above it.
-        rules: u32,
-    },
-}
-
-impl fmt::Display for InstallError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InstallError::PriorityExhausted { ceiling, rules } => write!(
-                f,
-                "flow-table priority space exhausted: cannot stack {rules} \
-                 rule(s) above priority {ceiling}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for InstallError {}
 
 /// A single flow-table entry: an OpenFlow-style (priority, match, actions)
 /// triple.
@@ -248,100 +217,28 @@ impl FlowTable {
     /// Replace the whole table with a compiled classifier. Rule `i` of the
     /// classifier gets priority `len - i`, preserving first-match-wins.
     pub fn install_classifier(&mut self, classifier: &Classifier, cookie: u64) {
-        self.clear();
-        self.append_classifier(classifier, cookie, 0);
+        self.install_classifier_goto(classifier, cookie, None);
     }
 
-    /// Append a classifier's rules *above* the existing table contents
-    /// (used by the fast path of §4.3.2, which pushes higher-priority rules
-    /// for updated prefixes without recompiling the rest).
-    pub fn append_classifier(&mut self, classifier: &Classifier, cookie: u64, priority_boost: u32) {
-        self.append_classifier_goto(classifier, cookie, priority_boost, None);
-    }
-
-    /// Like [`append_classifier`](Self::append_classifier), additionally
+    /// Like [`install_classifier`](Self::install_classifier), additionally
     /// setting `goto_table` on every non-drop rule — how a policy stage is
     /// installed into a multi-table pipeline.
-    ///
-    /// The appended band occupies priorities `priority_boost + 1 ..=
-    /// priority_boost + classifier.len()`. **Invariant:** `priority_boost`
-    /// must be at least the table's current [`max_priority`]
-    /// (self::max_priority), so repeated overlay appends stack strictly
-    /// above everything already installed and can never collide or
-    /// interleave with the base table's priorities. Callers that just want
-    /// "on top of whatever is there" should use
-    /// [`append_rules_above`](Self::append_rules_above), which computes the
-    /// boost itself.
-    pub fn append_classifier_goto(
+    pub fn install_classifier_goto(
         &mut self,
         classifier: &Classifier,
         cookie: u64,
-        priority_boost: u32,
         goto: Option<usize>,
     ) {
-        debug_assert!(
-            self.max_priority()
-                .map(|p| priority_boost >= p)
-                .unwrap_or(true),
-            "append band would interleave with existing priorities: \
-             boost {priority_boost} < max installed {:?}",
-            self.max_priority()
-        );
-        let n = classifier.len() as u32;
-        priority_boost
-            .checked_add(n)
-            .expect("flow-table priority space exhausted");
+        self.clear();
+        let n = u32::try_from(classifier.len()).expect("flow-table priority space exhausted");
         for (i, rule) in classifier.rules().iter().enumerate() {
-            let mut fr = FlowRule::new(
-                priority_boost + n - i as u32,
-                rule.match_.clone(),
-                rule.actions.clone(),
-            )
-            .with_cookie(cookie);
+            let mut fr = FlowRule::new(n - i as u32, rule.match_.clone(), rule.actions.clone())
+                .with_cookie(cookie);
             if let (Some(t), false) = (goto, rule.is_drop()) {
                 fr = fr.with_goto(t);
             }
             self.install(fr);
         }
-    }
-
-    /// Append bare rules strictly above everything installed, preserving
-    /// their order (earlier = higher priority): the §4.3.2 fast-path overlay
-    /// primitive. Computes the priority boost from the table's own
-    /// [`max_priority`](Self::max_priority), so repeated appends are
-    /// collision-free by construction. Non-drop rules get `goto` when given.
-    /// Returns the boost used (the priority ceiling *before* the append), or
-    /// [`InstallError::PriorityExhausted`] — without installing anything —
-    /// when the band would overflow the priority space (a long-lived runtime
-    /// stacking overlays can get here; a background recompilation resets the
-    /// ceiling and recovers).
-    pub fn append_rules_above(
-        &mut self,
-        rules: &[Rule],
-        cookie: u64,
-        goto: Option<usize>,
-    ) -> Result<u32, InstallError> {
-        let boost = self.max_priority().unwrap_or(0);
-        let n = rules.len() as u32;
-        if boost.checked_add(n).is_none() {
-            return Err(InstallError::PriorityExhausted {
-                ceiling: boost,
-                rules: n,
-            });
-        }
-        for (i, rule) in rules.iter().enumerate() {
-            let mut fr = FlowRule::new(
-                boost + n - i as u32,
-                rule.match_.clone(),
-                rule.actions.clone(),
-            )
-            .with_cookie(cookie);
-            if let (Some(t), false) = (goto, rule.is_drop()) {
-                fr = fr.with_goto(t);
-            }
-            self.install(fr);
-        }
-        Ok(boost)
     }
 
     /// Remove the first installed rule whose behavior-relevant fields equal
@@ -570,77 +467,28 @@ mod tests {
     }
 
     #[test]
-    fn append_classifier_overrides_existing() {
+    fn band_above_ceiling_overrides_until_removed() {
         use sdx_policy::{fwd, match_};
         let mut t = FlowTable::new();
         t.install_classifier(&(match_(Field::DstPort, 80u16) >> fwd(1)).compile(), 1);
-        let before = t.len() as u32;
-        // Fast-path overlay sends port-80 to 2 instead.
-        t.append_classifier(
-            &(match_(Field::DstPort, 80u16) >> fwd(2)).compile(),
-            2,
-            before,
-        );
+        // A fast-path fragment: installed directly above the live ceiling,
+        // it sends port-80 to 2 instead.
+        let ceiling = t.max_priority().unwrap();
+        let fragment = (match_(Field::DstPort, 80u16) >> fwd(2)).compile();
+        let n = fragment.len() as u32;
+        for (i, r) in fragment.rules().iter().enumerate() {
+            t.install(
+                FlowRule::new(ceiling + n - i as u32, r.match_.clone(), r.actions.clone())
+                    .with_cookie(2),
+            );
+        }
+        assert!(t.max_priority().unwrap() > ceiling);
         let pkt = Packet::new().with(Field::DstPort, 80u16);
         assert_eq!(t.peek(&pkt).unwrap().actions[0].get(Field::Port), Some(2));
-        // Removing the overlay restores the original behavior.
+        // Retiring the fragment restores the original behavior and ceiling.
         t.remove_by_cookie(2);
         assert_eq!(t.peek(&pkt).unwrap().actions[0].get(Field::Port), Some(1));
-    }
-
-    #[test]
-    fn append_rules_above_stacks_collision_free() {
-        use sdx_policy::{fwd, match_};
-        let mut t = FlowTable::new();
-        t.install_classifier(&(match_(Field::DstPort, 80u16) >> fwd(1)).compile(), 1);
-        let base_max = t.max_priority().unwrap();
-        // Two successive overlays: each must land strictly above everything
-        // before it, later appends shadowing earlier ones.
-        let overlay = |to: u32| {
-            (match_(Field::DstPort, 80u16) >> fwd(to))
-                .compile()
-                .rules()
-                .to_vec()
-        };
-        let boost1 = t.append_rules_above(&overlay(2), 2, None).unwrap();
-        assert_eq!(boost1, base_max);
-        let max1 = t.max_priority().unwrap();
-        assert!(max1 > base_max);
-        let boost2 = t.append_rules_above(&overlay(3), 3, Some(1)).unwrap();
-        assert_eq!(boost2, max1);
-
-        let pkt = Packet::new().with(Field::DstPort, 80u16);
-        let hit = t.peek(&pkt).unwrap();
-        assert_eq!(hit.actions[0].get(Field::Port), Some(3));
-        assert_eq!(hit.goto_table, Some(1));
-        // Unwinding the overlays restores each previous layer.
-        t.remove_by_cookie(3);
-        assert_eq!(t.peek(&pkt).unwrap().actions[0].get(Field::Port), Some(2));
-        t.remove_by_cookie(2);
-        assert_eq!(t.peek(&pkt).unwrap().actions[0].get(Field::Port), Some(1));
-    }
-
-    #[test]
-    fn append_rules_above_surfaces_priority_exhaustion() {
-        use sdx_policy::{fwd, match_};
-        let mut t = FlowTable::new();
-        // A rule already sitting at the priority ceiling: any further band
-        // must be refused, and refused atomically (nothing installed).
-        t.install(FlowRule::new(u32::MAX, m(1), vec![]));
-        let overlay = (match_(Field::DstPort, 80u16) >> fwd(2))
-            .compile()
-            .rules()
-            .to_vec();
-        let err = t.append_rules_above(&overlay, 2, None).unwrap_err();
-        assert!(matches!(
-            err,
-            InstallError::PriorityExhausted {
-                ceiling: u32::MAX,
-                ..
-            }
-        ));
-        assert!(err.to_string().contains("priority space exhausted"));
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.max_priority(), Some(ceiling));
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Property test for the tuple-space lookup index: on the same rule set,
 //! the indexed lookup must be bit-identical to the linear-scan oracle —
 //! same chosen rule and same packet counters — across randomized rule sets
-//! with overlapping prefixes, shadowed rules, and mid-stream appends,
-//! removals, and clears.
+//! with overlapping prefixes, shadowed rules, and mid-stream installs
+//! (including fast-path bands above the live ceiling), removals, and
+//! clears.
 
 use proptest::prelude::*;
-use sdx_policy::{Action, Field, Match, Packet, Pattern, Rule};
+use sdx_policy::{Action, Field, Match, Packet, Pattern};
 use sdx_switch::{FlowRule, FlowTable};
 
 /// Deliberately overlapping prefixes, so containment chains and shadowing
@@ -60,8 +61,8 @@ fn build_match(spec: &MatchSpec) -> Match {
 enum Op {
     /// Install one rule at an arbitrary priority (interleaves bands).
     Install(u32, MatchSpec),
-    /// Append a batch strictly above everything installed (the fast-path
-    /// overlay primitive).
+    /// Install a batch as a band directly above the live ceiling, earlier
+    /// rules higher (the runtime's fast-path fragment placement).
     Append(Vec<MatchSpec>),
     /// Remove by cookie (cookies are assigned sequentially, so small values
     /// often hit).
@@ -80,8 +81,8 @@ fn arb_spec() -> impl Strategy<Value = MatchSpec> {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    // Installs dominate (several arms), with occasional overlay appends,
-    // cookie removals, and clears mixed in.
+    // Installs dominate (several arms), with occasional bands above the
+    // ceiling, cookie removals, and clears mixed in.
     prop_oneof![
         (0u32..6, arb_spec()).prop_map(|(p, s)| Op::Install(p, s)),
         (0u32..6, arb_spec()).prop_map(|(p, s)| Op::Install(p, s)),
@@ -126,23 +127,23 @@ proptest! {
                 Op::Append(specs) => {
                     let cookie = next_cookie;
                     next_cookie += 1;
-                    let rules: Vec<Rule> = specs
-                        .iter()
-                        .enumerate()
-                        .map(|(i, s)| Rule {
-                            match_: build_match(s),
-                            // Every other appended rule is a drop, so
-                            // shadowing by empty-action rules is exercised.
-                            actions: if i % 2 == 0 {
+                    let n = specs.len() as u32;
+                    for t in [&mut indexed, &mut oracle] {
+                        let ceiling = t.max_priority().unwrap_or(0);
+                        for (i, s) in specs.iter().enumerate() {
+                            // Every other rule is a drop, so shadowing by
+                            // empty-action rules is exercised.
+                            let actions = if i % 2 == 0 {
                                 vec![Action::set(Field::Port, 1u32)]
                             } else {
                                 vec![]
-                            },
-                        })
-                        .collect();
-                    let b1 = indexed.append_rules_above(&rules, cookie, None);
-                    let b2 = oracle.append_rules_above(&rules, cookie, None);
-                    prop_assert_eq!(b1, b2);
+                            };
+                            t.install(
+                                FlowRule::new(ceiling + n - i as u32, build_match(s), actions)
+                                    .with_cookie(cookie),
+                            );
+                        }
+                    }
                 }
                 Op::RemoveCookie(c) => {
                     prop_assert_eq!(indexed.remove_by_cookie(*c), oracle.remove_by_cookie(*c));

@@ -2,16 +2,15 @@
 //! N ∈ {1, 2, 4, 8}, the sharded switch's batch output (in input order —
 //! strictly stronger than multiset equality), stats, and per-rule packet
 //! counters must be bit-identical to the single-shard oracle under a
-//! randomized churn of installs, overlay appends, cookie removals,
-//! delta-plan mutations (in-band installs above the current ceiling and
-//! content-based `remove_matching` retirements, the churn engine's rule
-//! vocabulary), and clears applied through the single-writer path between
-//! batches. The
-//! serial (dedicated-core measurement) mode must agree with the parallel
-//! fork-join mode as well.
+//! randomized churn of installs, fast-path bands above the live ceiling,
+//! cookie removals, delta-plan mutations (single installs above the current
+//! ceiling and content-based `remove_matching` retirements, the update
+//! planner's rule vocabulary), and clears applied through the single-writer
+//! path between batches. The serial (dedicated-core measurement) mode must
+//! agree with the parallel fork-join mode as well.
 
 use proptest::prelude::*;
-use sdx_policy::{Action, Field, Match, Packet, Pattern, Rule};
+use sdx_policy::{Action, Field, Match, Packet, Pattern};
 use sdx_switch::{FlowRule, ShardedSwitch, SoftSwitch};
 
 /// Overlapping prefixes so shadowing and containment chains occur.
@@ -63,12 +62,13 @@ fn build_match(spec: &MatchSpec) -> Match {
 enum Op {
     /// Install one rule at an arbitrary priority.
     Install(u32, MatchSpec),
-    /// Append a batch strictly above everything (the fast-path overlay).
+    /// Install a batch as a band directly above the live ceiling, earlier
+    /// rules higher (the runtime's fast-path fragment placement).
     Append(Vec<MatchSpec>),
     /// Remove by cookie.
     RemoveCookie(u64),
-    /// A delta-plan install: in-band, just above the current ceiling (the
-    /// churn engine's `delta_base + n - i` placement).
+    /// A delta-plan install: one rule a small offset above the current
+    /// ceiling.
     DeltaInstall(u8, MatchSpec),
     /// A delta-plan removal: retire the k-th live rule by *content* (the
     /// update plan's `remove_matching`), not by cookie.
@@ -119,19 +119,19 @@ fn apply_op(sw: &mut SoftSwitch, op: &Op, next_cookie: &mut u64) {
         Op::Append(specs) => {
             let cookie = *next_cookie;
             *next_cookie += 1;
-            let rules: Vec<Rule> = specs
-                .iter()
-                .enumerate()
-                .map(|(i, s)| Rule {
-                    match_: build_match(s),
-                    actions: if i % 2 == 0 {
-                        vec![Action::set(Field::Port, 1u32)]
-                    } else {
-                        vec![]
-                    },
-                })
-                .collect();
-            let _ = sw.table_mut().append_rules_above(&rules, cookie, None);
+            let n = specs.len() as u32;
+            let ceiling = sw.table().max_priority().unwrap_or(0);
+            for (i, s) in specs.iter().enumerate() {
+                let actions = if i % 2 == 0 {
+                    vec![Action::set(Field::Port, 1u32)]
+                } else {
+                    vec![]
+                };
+                sw.install_rule(
+                    FlowRule::new(ceiling + n - i as u32, build_match(s), actions)
+                        .with_cookie(cookie),
+                );
+            }
         }
         Op::RemoveCookie(c) => {
             sw.table_mut().remove_by_cookie(*c);
