@@ -203,6 +203,19 @@ if ! target/release/fig9 | diff - results/fig9.txt; then
     echo "ci: fig9 output diverged from results/fig9.txt" >&2; exit 1
 fi
 
+echo "== ablation smoke (ablation quick vs BENCH_ablation.json)"
+# The quick run keeps the five ablations' workloads and only cuts the timing
+# reps. The binary exits non-zero if pruned and all-pairs composition
+# differ; with the timings and rep count stripped, its records must equal
+# the committed full run's (one per ablation, same rule/group/memo counts).
+SDX_BENCH_QUICK=1 SDX_BENCH_JSON="$smoke_dir/abl.json" target/release/ablation > /dev/null || {
+    echo "ci: ablation failed (pruned and all-pairs composition differ?)" >&2; exit 1
+}
+ablation_counts() { sed -E 's/,"(reps|[a-z_]+_(ms|us))":[0-9.]+//g' "$1"; }
+if ! diff <(ablation_counts BENCH_ablation.json) <(ablation_counts "$smoke_dir/abl.json"); then
+    echo "ci: ablation counts diverged from BENCH_ablation.json" >&2; exit 1
+fi
+
 echo "== perfbench smoke (unit tests + a 2 s run of every workload)"
 # The benchmark's own arithmetic, then a short run of each workload: every
 # oracle must be evaluated ("correct": true) and no operation may fail —

@@ -27,76 +27,56 @@
 //! churn); the full run covers 24 h. `SDX_BENCH_JSON=path` overrides the
 //! artifact path; `SDX_DP_THREADS=N` sets the data-plane shard count.
 
-use sdx_bench::{bench_json_path, build_sdx, percentile, quick_mode, write_bench_json};
+use sdx_bench::{bench_json_path, build_sdx, percentile, quick_mode, write_bench_json, Record};
 use sdx_churn::{forwarding_fingerprint, ChurnConfig, ChurnEngine, ChurnReport};
 use sdx_core::{AnalysisMode, CompileOptions};
 use sdx_workload::{generate_trace, TraceConfig};
 
 const SEED: u64 = 11;
 
-/// Render the shared per-run fields of a churn record (caller appends
-/// run-specific fields and the closing brace).
-fn churn_record_head(bench: &str, participants: usize, prefixes: usize, r: &ChurnReport) -> String {
-    format!(
-        concat!(
-            "{{\"bench\":\"{}\",\"participants\":{},\"prefixes\":{},",
-            "\"virtual_s\":{},\"events\":{},\"bursts\":{},\"updates_per_sec\":{:.1},",
-            "\"convergence_p50_us\":{},\"convergence_p99_us\":{},\"convergence_max_us\":{},",
-            "\"convergence_samples\":{},\"convergence_failures\":{},",
-            "\"delta_installed\":{},\"delta_removed\":{},\"delta_rules_max\":{},",
-            "\"delta_rules_mean\":{:.2},\"reoptimizes\":{},\"reoptimizes_forced\":{},",
-            "\"overlay_exhausted\":{},\"install_errors\":{},",
-            "\"replay_batches\":{},\"replayed_packets\":{},\"overlay_rules_final\":{},",
-            "\"update_busy_s\":{:.3},\"wall_s\":{:.3}"
-        ),
-        bench,
-        participants,
-        prefixes,
-        r.virtual_s,
-        r.events,
-        r.bursts,
-        r.updates_per_sec,
-        r.convergence_p50_us,
-        r.convergence_p99_us,
-        r.convergence_max_us,
-        r.convergence_samples,
-        r.convergence_failures,
-        r.delta_installed,
-        r.delta_removed,
-        r.delta_rules_max,
-        r.delta_rules_mean,
-        r.reoptimizes,
-        r.reoptimizes_forced,
-        r.overlay_exhausted,
-        r.install_errors,
-        r.replay_batches,
-        r.replayed_packets,
-        r.overlay_rules_final,
-        r.update_busy_s,
-        r.wall_s,
-    )
+/// The fields every churn record starts with.
+fn churn_record(bench: &str, participants: usize, prefixes: usize, r: &ChurnReport) -> Record {
+    Record::new()
+        .str("bench", bench)
+        .uint("participants", participants)
+        .uint("prefixes", prefixes)
+        .uint("virtual_s", r.virtual_s)
+        .uint("events", r.events)
+        .uint("bursts", r.bursts)
+        .float("updates_per_sec", r.updates_per_sec, 1)
+        .uint("convergence_p50_us", r.convergence_p50_us)
+        .uint("convergence_p99_us", r.convergence_p99_us)
+        .uint("convergence_max_us", r.convergence_max_us)
+        .uint("convergence_samples", r.convergence_samples)
+        .uint("convergence_failures", r.convergence_failures)
+        .uint("delta_installed", r.delta_installed)
+        .uint("delta_removed", r.delta_removed)
+        .uint("delta_rules_max", r.delta_rules_max)
+        .float("delta_rules_mean", r.delta_rules_mean, 2)
+        .uint("reoptimizes", r.reoptimizes)
+        .uint("reoptimizes_forced", r.reoptimizes_forced)
+        .uint("overlay_exhausted", r.overlay_exhausted)
+        .uint("install_errors", r.install_errors)
+        .uint("replay_batches", r.replay_batches)
+        .uint("replayed_packets", r.replayed_packets)
+        .uint("overlay_rules_final", r.overlay_rules_final)
+        .float("update_busy_s", r.update_busy_s, 3)
+        .float("wall_s", r.wall_s, 3)
 }
 
-/// The verdict/latency fields every checked run appends.
-fn delta_check_fields(r: &ChurnReport) -> String {
-    format!(
-        concat!(
-            ",\"delta_checked\":{},\"delta_certified\":{},\"delta_structural\":{},",
-            "\"delta_reordered\":{},\"delta_rejected\":{},\"delta_denied\":{},",
-            "\"check_p50_us\":{},\"check_p99_us\":{},\"check_max_us\":{},",
-            "\"check_total_us\":{}"
-        ),
-        r.delta_checked,
-        r.delta_certified,
-        r.delta_structural,
-        r.delta_reordered,
-        r.delta_rejected,
-        r.delta_denied,
-        r.check_p50_us,
-        r.check_p99_us,
-        r.check_max_us,
-        r.check_total_us,
-    )
+/// `churn_record` plus the verdict/latency fields of a checked run.
+fn checked_record(bench: &str, participants: usize, prefixes: usize, r: &ChurnReport) -> Record {
+    churn_record(bench, participants, prefixes, r)
+        .uint("delta_checked", r.delta_checked)
+        .uint("delta_certified", r.delta_certified)
+        .uint("delta_structural", r.delta_structural)
+        .uint("delta_reordered", r.delta_reordered)
+        .uint("delta_rejected", r.delta_rejected)
+        .uint("delta_denied", r.delta_denied)
+        .uint("check_p50_us", r.check_p50_us)
+        .uint("check_p99_us", r.check_p99_us)
+        .uint("check_max_us", r.check_max_us)
+        .uint("check_total_us", r.check_total_us)
 }
 
 fn main() {
@@ -266,53 +246,31 @@ fn main() {
         disagreed
     );
 
-    let records = vec![
-        format!(
-            concat!(
-                "{},\"streamed_fingerprint\":\"{:016x}\",\"batch_fingerprint\":\"{:016x}\",",
-                "\"streamed_eq_batch\":{}}}"
-            ),
-            churn_record_head("churn", participants, prefixes, &report),
-            streamed_fp,
-            batch_fp,
-            fingerprints_match
-        ),
-        format!(
-            concat!(
-                "{}{},\"checked_fingerprint\":\"{:016x}\",\"checked_eq_batch\":{},",
-                "\"baseline_updates_per_sec\":{:.1},\"checked_over_baseline\":{:.3}}}"
-            ),
-            churn_record_head("churn_checked", participants, prefixes, &checked),
-            delta_check_fields(&checked),
-            checked_fp,
-            checked_match,
-            report.updates_per_sec,
-            checked_ratio
-        ),
-        format!(
-            concat!(
-                "{}{},\"sample_every\":{},\"samples\":{},",
-                "\"incremental_p50_us\":{},\"incremental_p99_us\":{},",
-                "\"scratch_p50_us\":{},\"scratch_p99_us\":{},\"speedup_p50\":{:.1},",
-                "\"agreed\":{},\"disagreed\":{}}}"
-            ),
-            churn_record_head(
-                "churn_delta_scale",
-                scale_participants,
-                scale_prefixes,
-                &scale
-            ),
-            delta_check_fields(&scale),
-            scale_sample,
-            inc_us.len(),
-            inc_p50,
-            inc_p99,
-            scratch_p50,
-            scratch_p99,
-            speedup_p50,
-            agreed,
-            disagreed
-        ),
+    let records = [
+        churn_record("churn", participants, prefixes, &report)
+            .hex("streamed_fingerprint", streamed_fp)
+            .hex("batch_fingerprint", batch_fp)
+            .bool("streamed_eq_batch", fingerprints_match),
+        checked_record("churn_checked", participants, prefixes, &checked)
+            .hex("checked_fingerprint", checked_fp)
+            .bool("checked_eq_batch", checked_match)
+            .float("baseline_updates_per_sec", report.updates_per_sec, 1)
+            .float("checked_over_baseline", checked_ratio, 3),
+        checked_record(
+            "churn_delta_scale",
+            scale_participants,
+            scale_prefixes,
+            &scale,
+        )
+        .uint("sample_every", scale_sample)
+        .uint("samples", inc_us.len())
+        .uint("incremental_p50_us", inc_p50)
+        .uint("incremental_p99_us", inc_p99)
+        .uint("scratch_p50_us", scratch_p50)
+        .uint("scratch_p99_us", scratch_p99)
+        .float("speedup_p50", speedup_p50, 1)
+        .uint("agreed", agreed)
+        .uint("disagreed", disagreed),
     ];
 
     let path = bench_json_path("BENCH_churn.json");

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use sdx_bench::{bench_json_path, build_sdx, quick_mode, write_bench_json};
+use sdx_bench::{bench_json_path, build_sdx, quick_mode, write_bench_json, Record};
 use sdx_bgp::{AsPath, Asn, ExportPolicy, PathAttributes};
 use sdx_core::{
     Clause, CompileOptions, FabricSim, Participant, ParticipantId, ParticipantPolicy, PortConfig,
@@ -125,28 +125,23 @@ fn main() {
                 stats.buckets, run.aggregate_pps, run.wall_pps
             );
             println!("# fingerprint participants={n} shards={shards} {fp:016x}");
-            records.push(format!(
-                concat!(
-                    "{{\"bench\":\"dataplane\",\"participants\":{},\"shards\":{},",
-                    "\"rules\":{},\"buckets\":{},\"groups\":{},\"index_build_us\":{},",
-                    "\"packets\":{},\"aggregate_pps\":{:.0},\"wall_pps\":{:.0},",
-                    "\"scaling_efficiency\":{:.3},\"linear_packets\":{},",
-                    "\"linear_pps\":{:.0},\"speedup_vs_linear\":{:.2}}}"
-                ),
-                n,
-                shards,
-                rules,
-                stats.buckets,
-                stats.groups,
-                index_build_us,
-                run.packets,
-                run.aggregate_pps,
-                run.wall_pps,
-                efficiency,
-                linear_packets,
-                linear_pps,
-                speedup,
-            ));
+            records.push(
+                Record::new()
+                    .str("bench", "dataplane")
+                    .uint("participants", n)
+                    .uint("shards", shards)
+                    .uint("rules", rules)
+                    .uint("buckets", stats.buckets)
+                    .uint("groups", stats.groups)
+                    .uint("index_build_us", index_build_us)
+                    .uint("packets", run.packets)
+                    .float("aggregate_pps", run.aggregate_pps, 0)
+                    .float("wall_pps", run.wall_pps, 0)
+                    .float("scaling_efficiency", efficiency, 3)
+                    .uint("linear_packets", linear_packets)
+                    .float("linear_pps", linear_pps, 0)
+                    .float("speedup_vs_linear", speedup, 2),
+            );
         }
     }
     let path = bench_json_path("BENCH_dataplane.json");

@@ -1,29 +1,17 @@
 //! Regenerates Figure 10: the distribution (CDF) of the time to process a
 //! single BGP update through the fast path, for 100/200/300 participants.
 //!
-//! Honors the same environment knobs as `fig8`: `SDX_THREADS` (compile
-//! workers), `SDX_BENCH_QUICK=1` (shrunken sweep), and `SDX_BENCH_JSON`
-//! (machine-readable record path, default `BENCH_compile.json` — the
-//! records cover the initial compilations this figure performs).
+//! Honors `SDX_THREADS` (compile workers) and `SDX_BENCH_QUICK=1`
+//! (shrunken sweep). It writes no JSON: its numbers are the table it
+//! prints (`results/fig10.txt`), and the compile baseline
+//! (`BENCH_compile.json`) is `fig8`'s.
 
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
-use sdx_bench::{
-    bench_json_path, compile_record, env_threads, percentile, quick_mode, write_bench_json,
-};
+use sdx_bench::{env_threads, percentile, quick_mode, single_homed};
 use sdx_bgp::Update;
 use sdx_core::{CompileOptions, SdxRuntime};
-use sdx_workload::{generate_policies_with_groups, IxpProfile, IxpTopology};
-
-/// Figures 7–10 control the prefix-group count directly, so the table is
-/// generated without multi-homing (each prefix has one announcer and the
-/// group count tracks the policy partition).
-fn single_homed(participants: usize, prefixes: usize) -> IxpProfile {
-    IxpProfile {
-        multi_home_fraction: 0.0,
-        ..IxpProfile::ams_ix(participants, prefixes)
-    }
-}
+use sdx_workload::{generate_policies_with_groups, IxpTopology};
 
 fn main() {
     let threads = env_threads();
@@ -36,7 +24,6 @@ fn main() {
     println!("# Figure 10 — time to process a single BGP update (fast path, threads={threads})");
     println!("participants\tpercentile\ttime_ms");
     let mut rng = StdRng::seed_from_u64(10);
-    let mut records = Vec::new();
     for &n in sizes {
         let topology = IxpTopology::generate(single_homed(n, prefixes), 10);
         let mix = generate_policies_with_groups(&topology, target, 10);
@@ -45,9 +32,7 @@ fn main() {
         for (id, policy) in &mix.policies {
             sdx.set_policy(*id, policy.clone());
         }
-        let stats = sdx.compile().expect("compiles");
-        let fingerprint = sdx.compilation().expect("compiled").fabric.fingerprint();
-        records.push(compile_record("fig10", n, target, fingerprint, &stats));
+        sdx.compile().expect("compiles");
 
         let mut update_prefixes: Vec<_> = sdx
             .compilation()
@@ -80,8 +65,4 @@ fn main() {
             );
         }
     }
-
-    let path = bench_json_path("BENCH_compile.json");
-    write_bench_json(&path, &records).expect("write bench json");
-    eprintln!("wrote {}", path.display());
 }

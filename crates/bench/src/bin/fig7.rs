@@ -1,18 +1,9 @@
 //! Regenerates Figure 7: forwarding rules as a function of prefix groups,
 //! for 100/200/300 participants.
 
+use sdx_bench::single_homed;
 use sdx_core::{CompileOptions, SdxRuntime};
-use sdx_workload::{generate_policies_with_groups, IxpProfile, IxpTopology};
-
-/// Figures 7–10 control the prefix-group count directly, so the table is
-/// generated without multi-homing (each prefix has one announcer and the
-/// group count tracks the policy partition).
-fn single_homed(participants: usize, prefixes: usize) -> IxpProfile {
-    IxpProfile {
-        multi_home_fraction: 0.0,
-        ..IxpProfile::ams_ix(participants, prefixes)
-    }
-}
+use sdx_workload::{generate_policies_with_groups, IxpTopology};
 
 fn main() {
     println!("# Figure 7 — forwarding rules vs prefix groups");

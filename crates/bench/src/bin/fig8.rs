@@ -17,20 +17,11 @@
 //! these lines across thread counts to prove output identity.
 
 use sdx_bench::{
-    bench_json_path, compile_record, env_threads, quick_mode, verify_mode, write_bench_json,
+    bench_json_path, compile_record, env_threads, quick_mode, single_homed, verify_mode,
+    write_bench_json,
 };
 use sdx_core::{AnalysisMode, CompileOptions, SdxRuntime};
-use sdx_workload::{generate_policies_with_groups, IxpProfile, IxpTopology};
-
-/// Figures 7–10 control the prefix-group count directly, so the table is
-/// generated without multi-homing (each prefix has one announcer and the
-/// group count tracks the policy partition).
-fn single_homed(participants: usize, prefixes: usize) -> IxpProfile {
-    IxpProfile {
-        multi_home_fraction: 0.0,
-        ..IxpProfile::ams_ix(participants, prefixes)
-    }
-}
+use sdx_workload::{generate_policies_with_groups, IxpTopology};
 
 fn main() {
     let threads = env_threads();

@@ -11,16 +11,11 @@ use std::io::Write;
 
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
-use sdx_bench::{arg_scale, bench_json_path, env_threads, quick_mode, write_bench_json};
+use sdx_bench::{
+    arg_scale, bench_json_path, env_threads, quick_mode, single_homed, write_bench_json, Record,
+};
 use sdx_core::{AnalysisMode, CompileOptions, SdxRuntime};
-use sdx_workload::{generate_policies_with_groups, IxpProfile, IxpTopology};
-
-fn single_homed(participants: usize, prefixes: usize) -> IxpProfile {
-    IxpProfile {
-        multi_home_fraction: 0.0,
-        ..IxpProfile::ams_ix(participants, prefixes)
-    }
-}
+use sdx_workload::{generate_policies_with_groups, IxpTopology};
 
 fn main() {
     let threads = env_threads();
@@ -100,28 +95,27 @@ fn main() {
                 round_ms,
             );
             let _ = std::io::stdout().flush();
-            records.push(format!(
-                concat!(
-                    "{{\"bench\":\"plan\",\"participants\":{},\"round\":{},",
-                    "\"steps\":{},\"explored\":{},\"two_phase\":{},\"applied\":{},",
-                    "\"naive_violations\":{},\"wall_us\":{{\"delta\":{},\"naive\":{},",
-                    "\"search\":{},\"check\":{},\"per_step_check\":{}}},",
-                    "\"round_ms\":{}}}"
-                ),
-                n,
-                round,
-                stats.plan_steps,
-                stats.plan_explored,
-                stats.plan_two_phase,
-                stats.plan_applied,
-                report.naive_violations.len(),
-                stats.stages.plan_delta_us,
-                report.times.naive_us,
-                stats.stages.plan_search_us,
-                stats.stages.plan_check_us,
-                report.per_step_check_us,
-                round_ms,
-            ));
+            records.push(
+                Record::new()
+                    .str("bench", "plan")
+                    .uint("participants", n)
+                    .uint("round", round)
+                    .uint("steps", stats.plan_steps)
+                    .uint("explored", stats.plan_explored)
+                    .bool("two_phase", stats.plan_two_phase)
+                    .bool("applied", stats.plan_applied)
+                    .uint("naive_violations", report.naive_violations.len())
+                    .object(
+                        "wall_us",
+                        Record::new()
+                            .uint("delta", stats.stages.plan_delta_us)
+                            .uint("naive", report.times.naive_us)
+                            .uint("search", stats.stages.plan_search_us)
+                            .uint("check", stats.stages.plan_check_us)
+                            .uint("per_step_check", report.per_step_check_us),
+                    )
+                    .uint("round_ms", round_ms),
+            );
         }
         println!(
             "# {n} participants: two-phase fallback rate {}/{}",

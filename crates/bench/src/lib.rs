@@ -1,11 +1,15 @@
-//! Shared harness for the evaluation benchmarks: workload construction and
-//! small statistics helpers used by the figure binaries and Criterion
-//! benches.
+//! Shared harness for the evaluation binaries — one per table and figure,
+//! plus `dataplane`, `plan`, `churn` and `ablation`: workload
+//! construction, small statistics helpers, and the JSON record writer
+//! behind every `BENCH_*.json` artifact.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use sdx_core::{CompileOptions, CompileStats, SdxRuntime};
 use sdx_workload::{generate_policies, IxpProfile, IxpTopology, PolicyMix};
+
+mod record;
+pub use record::{write_bench_json, Record};
 
 /// Build a fully configured SDX (topology installed, §6.1 policies set) of
 /// the given size, ready to compile.
@@ -25,6 +29,16 @@ pub fn build_sdx(
     (sdx, topology, mix)
 }
 
+/// The AMS-IX profile without multi-homing. Figures 7–10, `plan` and
+/// `ablation` control the prefix-group count directly, so each prefix has
+/// one announcer and the group count tracks the policy partition.
+pub fn single_homed(participants: usize, prefixes: usize) -> IxpProfile {
+    IxpProfile {
+        multi_home_fraction: 0.0,
+        ..IxpProfile::ams_ix(participants, prefixes)
+    }
+}
+
 /// The `p`-th percentile (0.0–1.0) of a sorted sample.
 pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
@@ -34,72 +48,61 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// One machine-readable compile measurement, rendered as a JSON object (the
-/// workspace has no JSON dependency, and the schema is flat enough to emit
-/// by hand). `fingerprint` is the fabric classifier's rule-list hash, so two
-/// bench runs at different thread counts can be checked for identical
-/// output.
+/// One machine-readable compile measurement. `fingerprint` is the fabric
+/// classifier's rule-list hash, so two bench runs at different thread
+/// counts can be checked for identical output.
 pub fn compile_record(
     bench: &str,
     participants: usize,
     target_groups: usize,
     fingerprint: u64,
     stats: &CompileStats,
-) -> String {
+) -> Record {
     let s = &stats.stages;
-    format!(
-        concat!(
-            "{{\"bench\":\"{}\",\"participants\":{},\"target_groups\":{},",
-            "\"groups\":{},\"rules\":{},\"threads\":{},\"fingerprint\":\"{:016x}\",",
-            "\"wall_us\":{{\"total\":{},\"validate\":{},\"policy_sets\":{},\"fec\":{},",
-            "\"stage1\":{},\"stage2\":{},\"compose\":{},\"analysis\":{},",
-            "\"verify_transit\":{},\"verify_isolation\":{},\"verify_blackhole\":{},",
-            "\"verify_vnh\":{},\"verify_diff\":{}}},",
-            "\"verify\":{{\"warnings\":{},\"errors\":{}}},",
-            "\"pred_cache\":{{\"nodes\":{},\"hits\":{},\"misses\":{}}},",
-            "\"memo\":{{\"hits\":{},\"misses\":{}}}}}",
-        ),
-        bench,
-        participants,
-        target_groups,
-        stats.groups,
-        stats.rules,
-        s.threads,
-        fingerprint,
-        stats.duration_us,
-        s.validate_us,
-        s.policy_sets_us,
-        s.fec_us,
-        s.stage1_us,
-        s.stage2_us,
-        s.compose_us,
-        s.analysis_us,
-        s.verify_transit_us,
-        s.verify_isolation_us,
-        s.verify_blackhole_us,
-        s.verify_vnh_us,
-        s.verify_diff_us,
-        stats.verify_warnings,
-        stats.verify_errors,
-        stats.pred_nodes,
-        stats.pred_cache_hits,
-        stats.pred_cache_misses,
-        stats.memo_hits,
-        stats.memo_misses,
-    )
-}
-
-/// Write pre-rendered records as a JSON array to `path` (the
-/// `BENCH_compile.json` artifact the figure binaries emit).
-pub fn write_bench_json(path: &Path, records: &[String]) -> std::io::Result<()> {
-    let mut out = String::from("[\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(r);
-        out.push_str(if i + 1 == records.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("]\n");
-    std::fs::write(path, out)
+    Record::new()
+        .str("bench", bench)
+        .uint("participants", participants)
+        .uint("target_groups", target_groups)
+        .uint("groups", stats.groups)
+        .uint("rules", stats.rules)
+        .uint("threads", s.threads)
+        .hex("fingerprint", fingerprint)
+        .object(
+            "wall_us",
+            Record::new()
+                .uint("total", stats.duration_us)
+                .uint("validate", s.validate_us)
+                .uint("policy_sets", s.policy_sets_us)
+                .uint("fec", s.fec_us)
+                .uint("stage1", s.stage1_us)
+                .uint("stage2", s.stage2_us)
+                .uint("compose", s.compose_us)
+                .uint("analysis", s.analysis_us)
+                .uint("verify_transit", s.verify_transit_us)
+                .uint("verify_isolation", s.verify_isolation_us)
+                .uint("verify_blackhole", s.verify_blackhole_us)
+                .uint("verify_vnh", s.verify_vnh_us)
+                .uint("verify_diff", s.verify_diff_us),
+        )
+        .object(
+            "verify",
+            Record::new()
+                .uint("warnings", stats.verify_warnings)
+                .uint("errors", stats.verify_errors),
+        )
+        .object(
+            "pred_cache",
+            Record::new()
+                .uint("nodes", stats.pred_nodes)
+                .uint("hits", stats.pred_cache_hits)
+                .uint("misses", stats.pred_cache_misses),
+        )
+        .object(
+            "memo",
+            Record::new()
+                .uint("hits", stats.memo_hits)
+                .uint("misses", stats.memo_misses),
+        )
 }
 
 /// The worker count the benchmarks use: `SDX_THREADS` (0 = one per core),
@@ -155,6 +158,55 @@ mod tests {
         assert!(mix.clauses > 0);
         let stats = sdx.compile().unwrap();
         assert!(stats.rules > 0);
+    }
+
+    /// The rendering ci.sh greps (`"threads":4`,
+    /// `"verify":{"warnings":0,"errors":0}`) and readers of the committed
+    /// `BENCH_compile.json` rely on, byte for byte.
+    #[test]
+    fn compile_record_rendering_is_pinned() {
+        let stats = CompileStats {
+            rules: 8_550,
+            groups: 1_000,
+            memo_hits: 20,
+            memo_misses: 21,
+            pred_nodes: 17,
+            pred_cache_hits: 18,
+            pred_cache_misses: 19,
+            duration_us: 1_234_567,
+            stages: sdx_core::StageTimes {
+                threads: 4,
+                validate_us: 1,
+                policy_sets_us: 2,
+                fec_us: 3,
+                stage1_us: 4,
+                stage2_us: 5,
+                compose_us: 6,
+                analysis_us: 7,
+                verify_transit_us: 8,
+                verify_isolation_us: 9,
+                verify_blackhole_us: 10,
+                verify_vnh_us: 11,
+                verify_diff_us: 12,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let record = compile_record("fig8", 300, 1_000, 0x0123_4567_89ab_cdef, &stats);
+        assert_eq!(
+            record.to_string(),
+            [
+                r#"{"bench":"fig8","participants":300,"target_groups":1000,"groups":1000,"#,
+                r#""rules":8550,"threads":4,"fingerprint":"0123456789abcdef","#,
+                r#""wall_us":{"total":1234567,"validate":1,"policy_sets":2,"fec":3,"#,
+                r#""stage1":4,"stage2":5,"compose":6,"analysis":7,"verify_transit":8,"#,
+                r#""verify_isolation":9,"verify_blackhole":10,"verify_vnh":11,"verify_diff":12},"#,
+                r#""verify":{"warnings":0,"errors":0},"#,
+                r#""pred_cache":{"nodes":17,"hits":18,"misses":19},"#,
+                r#""memo":{"hits":20,"misses":21}}"#,
+            ]
+            .concat()
+        );
     }
 
     #[test]
