@@ -10,6 +10,15 @@ cargo build --release --offline --workspace
 echo "== cargo test"
 cargo test -q --offline --workspace
 
+echo "== examples (release; every one must exit 0)"
+# The examples are the only drivers of FabricSim's router sync and
+# forwarding: run all of them and fail on any non-zero exit.
+for ex in examples/*.rs; do
+    cargo run --release --offline --quiet --example "$(basename "$ex" .rs)" > /dev/null || {
+        echo "ci: example $ex failed" >&2; exit 1
+    }
+done
+
 echo "== cargo clippy"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

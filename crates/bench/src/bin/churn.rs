@@ -49,17 +49,17 @@ fn churn_record(bench: &str, participants: usize, prefixes: usize, r: &ChurnRepo
         .uint("convergence_max_us", r.convergence_max_us)
         .uint("convergence_samples", r.convergence_samples)
         .uint("convergence_failures", r.convergence_failures)
-        .uint("delta_installed", r.delta_installed)
-        .uint("delta_removed", r.delta_removed)
+        .uint("delta_installed", r.runtime.delta_installed)
+        .uint("delta_removed", r.runtime.delta_removed)
         .uint("delta_rules_max", r.delta_rules_max)
         .float("delta_rules_mean", r.delta_rules_mean, 2)
         .uint("reoptimizes", r.reoptimizes)
         .uint("reoptimizes_forced", r.reoptimizes_forced)
-        .uint("overlay_exhausted", r.overlay_exhausted)
-        .uint("install_errors", r.install_errors)
+        .uint("overlay_exhausted", r.runtime.overlay_exhausted)
+        .uint("install_errors", r.runtime.install_errors)
         .uint("replay_batches", r.replay_batches)
         .uint("replayed_packets", r.replayed_packets)
-        .uint("overlay_rules_final", r.overlay_rules_final)
+        .uint("overlay_rules_final", r.runtime.overlay_rules)
         .float("update_busy_s", r.update_busy_s, 3)
         .float("wall_s", r.wall_s, 3)
 }
@@ -67,16 +67,16 @@ fn churn_record(bench: &str, participants: usize, prefixes: usize, r: &ChurnRepo
 /// `churn_record` plus the verdict/latency fields of a checked run.
 fn checked_record(bench: &str, participants: usize, prefixes: usize, r: &ChurnReport) -> Record {
     churn_record(bench, participants, prefixes, r)
-        .uint("delta_checked", r.delta_checked)
-        .uint("delta_certified", r.delta_certified)
-        .uint("delta_structural", r.delta_structural)
-        .uint("delta_reordered", r.delta_reordered)
-        .uint("delta_rejected", r.delta_rejected)
-        .uint("delta_denied", r.delta_denied)
+        .uint("delta_checked", r.runtime.delta_checked)
+        .uint("delta_certified", r.runtime.delta_certified)
+        .uint("delta_structural", r.runtime.delta_structural)
+        .uint("delta_reordered", r.runtime.delta_reordered)
+        .uint("delta_rejected", r.runtime.delta_rejected)
+        .uint("delta_denied", r.runtime.delta_denied)
         .uint("check_p50_us", r.check_p50_us)
         .uint("check_p99_us", r.check_p99_us)
         .uint("check_max_us", r.check_max_us)
-        .uint("check_total_us", r.check_total_us)
+        .uint("check_total_us", r.runtime.delta_check_us)
 }
 
 fn main() {
@@ -138,13 +138,13 @@ fn main() {
     eprintln!(
         "churn: deltas +{} -{} rules (max {}/event, mean {:.1}), {} reoptimizes ({} forced), \
          {} exhaustions, {} replayed packets",
-        report.delta_installed,
-        report.delta_removed,
+        report.runtime.delta_installed,
+        report.runtime.delta_removed,
         report.delta_rules_max,
         report.delta_rules_mean,
         report.reoptimizes,
         report.reoptimizes_forced,
-        report.overlay_exhausted,
+        report.runtime.overlay_exhausted,
         report.replayed_packets
     );
     println!("# fingerprint streamed {streamed_fp:016x}");
@@ -169,11 +169,11 @@ fn main() {
          ({} structural, {} reordered, {} rejected, {} denied), check p50 {} us p99 {} us",
         checked.updates_per_sec,
         checked_ratio,
-        checked.delta_checked,
-        checked.delta_structural,
-        checked.delta_reordered,
-        checked.delta_rejected,
-        checked.delta_denied,
+        checked.runtime.delta_checked,
+        checked.runtime.delta_structural,
+        checked.runtime.delta_reordered,
+        checked.runtime.delta_rejected,
+        checked.runtime.delta_denied,
         checked.check_p50_us,
         checked.check_p99_us
     );
@@ -214,8 +214,13 @@ fn main() {
     let mut scale_engine = ChurnEngine::new(scale_sdx, scale_topology, scale_config);
     let scale = scale_engine.run();
     let runtime = scale_engine.runtime_mut();
-    let mut inc_us: Vec<u64> = runtime.delta_samples().iter().map(|(i, _)| *i).collect();
-    let mut scratch_us: Vec<u64> = runtime.delta_samples().iter().map(|(_, s)| *s).collect();
+    // `(incremental µs, from-scratch µs)` of every sampled delta.
+    let (mut inc_us, mut scratch_us): (Vec<u64>, Vec<u64>) = runtime
+        .delta_log()
+        .iter()
+        .filter(|r| r.from_scratch.is_some())
+        .map(|r| (r.report.check_us, r.from_scratch_us))
+        .unzip();
     inc_us.sort_unstable();
     scratch_us.sort_unstable();
     let inc_p50 = percentile(&inc_us, 0.50);
@@ -285,7 +290,7 @@ fn main() {
         eprintln!("churn: FAIL — trace produced no measurable events");
         std::process::exit(1);
     }
-    if checked.delta_checked == 0 || scale.delta_checked == 0 || inc_us.is_empty() {
+    if checked.runtime.delta_checked == 0 || scale.runtime.delta_checked == 0 || inc_us.is_empty() {
         eprintln!("churn: FAIL — checked runs verified no deltas");
         std::process::exit(1);
     }

@@ -39,7 +39,7 @@ use sdx_core::{
 };
 use sdx_ip::Prefix;
 use sdx_policy::{match_, Field, Packet};
-use sdx_switch::{BatchOutput, BorderRouter, Forward};
+use sdx_switch::{BatchOutput, BorderRouter};
 
 fn main() {
     if std::env::args().any(|a| a == "--diff-fig1") {
@@ -272,18 +272,7 @@ fn build_frames(
             sdx.sync_router(sender.id, &mut r);
             r
         });
-        let frame = match router.forward(pkt.clone()) {
-            Forward::Frame(f) => Some(f),
-            Forward::NeedArp(req) => sdx.resolve_arp(&req).and_then(|reply| {
-                router.learn_arp(&reply);
-                match router.forward(pkt) {
-                    Forward::Frame(f) => Some(f),
-                    _ => None,
-                }
-            }),
-            Forward::NoRoute => None,
-        };
-        frames.extend(frame);
+        frames.extend(router.forward_resolving(pkt, |req| sdx.resolve_arp(req)));
     }
     frames
 }

@@ -21,10 +21,10 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sdx_core::{Participant, ParticipantId, SdxRuntime};
+use sdx_core::{IncrementalStats, Participant, ParticipantId, SdxRuntime};
 use sdx_ip::Prefix;
 use sdx_policy::{Field, Packet};
-use sdx_switch::{ArpReply, BatchOutput, BorderRouter, Forward};
+use sdx_switch::{BatchOutput, BorderRouter};
 use sdx_workload::{stream_trace, IxpTopology, TraceConfig, TraceEvent};
 
 mod queue;
@@ -90,10 +90,6 @@ pub struct ChurnReport {
     pub convergence_samples: usize,
     /// Probes that never converged (even after a forced reoptimize).
     pub convergence_failures: u64,
-    /// Rules installed by the delta path.
-    pub delta_installed: u64,
-    /// Rules removed by the delta path.
-    pub delta_removed: u64,
     /// Largest per-event rule delta (installs + removals).
     pub delta_rules_max: usize,
     /// Mean per-event rule delta.
@@ -102,38 +98,20 @@ pub struct ChurnReport {
     pub reoptimizes: u64,
     /// … of which were forced by `needs_reoptimize` or a failed probe.
     pub reoptimizes_forced: u64,
-    /// Fast-path VNH-pool exhaustions observed.
-    pub overlay_exhausted: u64,
-    /// Fast-path installs refused by the flow table.
-    pub install_errors: u64,
     /// Replay batches pushed through the sharded data plane.
     pub replay_batches: u64,
     /// Packets replayed.
     pub replayed_packets: u64,
-    /// Overlay rules live when the run ended.
-    pub overlay_rules_final: usize,
-    /// Streamed deltas checked by the incremental safety verifier (0 when
-    /// `delta_check` is off).
-    pub delta_checked: u64,
-    /// … certified safe (structurally or symbolically).
-    pub delta_certified: u64,
-    /// … certified by the structural gate alone (no symbolic work).
-    pub delta_structural: u64,
-    /// … reordered by the DFS search before install.
-    pub delta_reordered: u64,
-    /// … for which no per-packet-consistent schedule exists.
-    pub delta_rejected: u64,
-    /// … denied install under `delta_check = Deny` (degraded to a forced
-    /// reoptimize).
-    pub delta_denied: u64,
     /// Per-event incremental check latency, p50 µs (0 when unchecked).
     pub check_p50_us: u64,
     /// … p99 µs.
     pub check_p99_us: u64,
     /// … worst case µs.
     pub check_max_us: u64,
-    /// Total µs spent in incremental delta checking.
-    pub check_total_us: u64,
+    /// The runtime's fast-path counters when the run ended: delta rules
+    /// installed and removed, VNH exhaustions, refused installs, live
+    /// overlay rules, and the incremental verifier's verdict counts.
+    pub runtime: IncrementalStats,
 }
 
 /// The engine: owns the runtime, the trace, the probe routers, and the
@@ -231,7 +209,6 @@ impl ChurnEngine {
         }
 
         let summary = stream.summary();
-        let incremental = self.runtime.incremental_stats();
         self.latencies_us.sort_unstable();
         self.report.bursts = summary.bursts;
         self.report.virtual_s = virtual_now;
@@ -243,20 +220,9 @@ impl ChurnEngine {
         self.report.convergence_p99_us = percentile_us(&self.latencies_us, 0.99);
         self.report.convergence_max_us = self.latencies_us.last().copied().unwrap_or(0);
         self.report.convergence_samples = self.latencies_us.len();
-        self.report.delta_installed = incremental.delta_installed;
-        self.report.delta_removed = incremental.delta_removed;
         self.report.delta_rules_mean =
             self.delta_rules_total as f64 / (self.report.events as f64).max(1.0);
-        self.report.overlay_exhausted = incremental.overlay_exhausted;
-        self.report.install_errors = incremental.install_errors;
-        self.report.overlay_rules_final = incremental.overlay_rules;
-        self.report.delta_checked = incremental.delta_checked;
-        self.report.delta_certified = incremental.delta_certified;
-        self.report.delta_structural = incremental.delta_structural;
-        self.report.delta_reordered = incremental.delta_reordered;
-        self.report.delta_rejected = incremental.delta_rejected;
-        self.report.delta_denied = incremental.delta_denied;
-        self.report.check_total_us = incremental.delta_check_us;
+        self.report.runtime = self.runtime.incremental_stats();
         self.check_us.sort_unstable();
         self.report.check_p50_us = percentile_us(&self.check_us, 0.50);
         self.report.check_p99_us = percentile_us(&self.check_us, 0.99);
@@ -316,19 +282,19 @@ impl ChurnEngine {
     }
 
     /// Pick a (viewer, expected receiver) pair for `prefix`: the first
-    /// physical participant that neither announces the prefix itself nor is
-    /// denied the route, and the participant its best route points at.
+    /// physical participant whose border router routes the prefix into the
+    /// fabric (see [`SdxRuntime::fib_entry`]), and the participant its best
+    /// route points at.
     fn probe_target(&self, prefix: Prefix) -> Option<(ParticipantId, ParticipantId)> {
         let rs = self.runtime.route_server();
-        for p in self.runtime.participants().filter(|p| p.is_physical()) {
-            if rs.announced_by(p.id.peer()).contains(&prefix) {
-                continue;
-            }
-            if let Some(best) = rs.best_route(&prefix, p.id.peer()) {
-                return Some((p.id, ParticipantId::from(best.peer)));
-            }
-        }
-        None
+        self.runtime
+            .participants()
+            .filter(|p| p.is_physical())
+            .find_map(|p| {
+                self.runtime.fib_entry(&prefix, p.id)?;
+                let best = rs.best_route(&prefix, p.id.peer())?;
+                Some((p.id, ParticipantId::from(best.peer)))
+            })
     }
 
     /// Sync `viewer`'s probe router for this one prefix and push one probe
@@ -347,19 +313,11 @@ impl ChurnEngine {
             .entry(viewer)
             .or_insert_with(|| BorderRouter::new(port.port, port.mac, port.ip));
         sync_prefix(&self.runtime, viewer, router, prefix);
-        let pkt = probe_packet(prefix);
-        let frame = match router.forward(pkt.clone()) {
-            Forward::Frame(f) => Some(f),
-            Forward::NeedArp(req) => self.runtime.resolve_arp(&req).and_then(|reply| {
-                router.learn_arp(&reply);
-                match router.forward(pkt) {
-                    Forward::Frame(f) => Some(f),
-                    _ => None,
-                }
-            }),
-            Forward::NoRoute => None,
+        let Some(frame) =
+            router.forward_resolving(probe_packet(prefix), |req| self.runtime.resolve_arp(req))
+        else {
+            return false;
         };
-        let Some(frame) = frame else { return false };
         self.runtime
             .process_packet(&frame)
             .iter()
@@ -444,50 +402,22 @@ impl ChurnEngine {
                 self.runtime.sync_router(sender.id, &mut r);
                 r
             });
-            let frame = match router.forward(pkt.clone()) {
-                Forward::Frame(f) => Some(f),
-                Forward::NeedArp(req) => self.runtime.resolve_arp(&req).and_then(|reply| {
-                    router.learn_arp(&reply);
-                    match router.forward(pkt) {
-                        Forward::Frame(f) => Some(f),
-                        _ => None,
-                    }
-                }),
-                Forward::NoRoute => None,
-            };
+            let frame = router.forward_resolving(pkt, |req| self.runtime.resolve_arp(req));
             self.replay_frames.extend(frame);
         }
     }
 }
 
-/// Install `viewer`'s route for exactly `prefix` (with the runtime's
-/// next-hop substitution and ARP resolution) into `router` — the targeted
-/// form of [`SdxRuntime::sync_router`], O(1) instead of O(prefixes).
+/// Apply `viewer`'s [`SdxRuntime::fib_entry`] for exactly `prefix` to
+/// `router` — the targeted form of [`SdxRuntime::sync_router`]: one point
+/// lookup and one decision process, never a walk of the viewer's RIB.
 pub fn sync_prefix(
     runtime: &SdxRuntime,
     viewer: ParticipantId,
     router: &mut BorderRouter,
     prefix: Prefix,
 ) {
-    let rs = runtime.route_server();
-    if rs.announced_by(viewer.peer()).contains(&prefix)
-        || rs.best_route(&prefix, viewer.peer()).is_none()
-    {
-        router.remove_route(&prefix);
-        return;
-    }
-    let nh = runtime
-        .advertised_next_hop(&prefix, viewer)
-        .expect("best route implies next hop");
-    router.install_route(prefix, nh);
-    if let Some(mac) = runtime.resolve_ip(nh) {
-        router.learn_arp(&ArpReply {
-            sender_mac: mac,
-            sender_ip: nh,
-            target_mac: router.mac(),
-            target_ip: router.ip(),
-        });
-    }
+    router.set_route(prefix, runtime.fib_entry(&prefix, viewer));
 }
 
 /// The policy-neutral probe for `prefix` (see [`PROBE_SRC`]).
@@ -553,18 +483,7 @@ pub fn forwarding_fingerprint(
                     .with(Field::DstIp, prefix.first_addr())
                     .with(Field::SrcPort, 40_000u16)
                     .with(Field::DstPort, dport);
-                let frame = match router.forward(pkt.clone()) {
-                    Forward::Frame(f) => Some(f),
-                    Forward::NeedArp(req) => runtime.resolve_arp(&req).and_then(|reply| {
-                        router.learn_arp(&reply);
-                        match router.forward(pkt) {
-                            Forward::Frame(f) => Some(f),
-                            _ => None,
-                        }
-                    }),
-                    Forward::NoRoute => None,
-                };
-                match frame {
+                match router.forward_resolving(pkt, |req| runtime.resolve_arp(req)) {
                     None => mix(&mut h, 0),
                     Some(frame) => {
                         let deliveries = runtime.process_packet(&frame);

@@ -71,7 +71,7 @@ fn engine_measures_convergence_and_installs_deltas() {
     assert!(report.convergence_p50_us > 0);
     assert!(report.convergence_p99_us >= report.convergence_p50_us);
     assert!(
-        report.delta_installed > 0,
+        report.runtime.delta_installed > 0,
         "steady path installed no deltas"
     );
     assert!(report.updates_per_sec > 0.0);
@@ -101,7 +101,7 @@ fn engine_recovers_from_vnh_exhaustion() {
     let mut engine = ChurnEngine::new(sdx, topology, config);
     let report = engine.run();
     assert!(
-        report.overlay_exhausted > 0,
+        report.runtime.overlay_exhausted > 0,
         "pool never exhausted; shrink it: {report:?}"
     );
     assert!(

@@ -63,7 +63,8 @@ pub struct Overlay {
 pub struct IncrementalStats {
     /// Touched prefixes processed through the fast path.
     pub updates: u64,
-    /// Total fast-path fragment rules currently installed.
+    /// Total fast-path fragment rules currently installed (summed over
+    /// the live [`Overlay`]s).
     pub overlay_rules: usize,
     /// Microseconds spent in the most recent fast-path update.
     pub last_update_us: u64,
@@ -131,8 +132,6 @@ pub struct SdxRuntime {
     delta_judge_naive: bool,
     /// Run the from-scratch oracle on every nth checked delta (0 = never).
     delta_sample: u64,
-    /// `(incremental µs, from-scratch µs)` per sampled event, capped.
-    delta_samples: Vec<(u64, u64)>,
     delta_log: Vec<DeltaRecord>,
     delta_log_limit: usize,
     /// Deny-skipped deltas since the last compile (stamped into
@@ -174,9 +173,6 @@ pub struct DeltaRecord {
 /// Cookie tagging the base (fully compiled) table.
 const BASE_COOKIE: u64 = 1;
 
-/// Cap on retained `(incremental, from-scratch)` timing sample pairs.
-const DELTA_SAMPLE_CAP: usize = 65_536;
-
 /// Saturating µs cast for the stage-timing fields.
 fn clamp_us(us: u128) -> u64 {
     u64::try_from(us).unwrap_or(u64::MAX)
@@ -212,7 +208,6 @@ impl SdxRuntime {
             delta_checker: None,
             delta_judge_naive: false,
             delta_sample: 0,
-            delta_samples: Vec::new(),
             delta_log: Vec::new(),
             delta_log_limit: 0,
             pending_deny_fallbacks: 0,
@@ -303,7 +298,10 @@ impl SdxRuntime {
 
     /// Fast-path counters.
     pub fn incremental_stats(&self) -> IncrementalStats {
-        self.incremental
+        IncrementalStats {
+            overlay_rules: self.overlays.iter().map(|o| o.rules).sum(),
+            ..self.incremental
+        }
     }
 
     /// The incremental delta verifier's internal counters (`None` until a
@@ -324,16 +322,11 @@ impl SdxRuntime {
     }
 
     /// Run the from-scratch checking oracle on every `n`th checked delta
-    /// (0 = never), recording timing pairs and verdict agreement. The
-    /// equivalence proptest uses 1; the bench a sparse sample.
+    /// (0 = never); its report, time and verdict agreement land in that
+    /// delta's [`DeltaRecord`]. The equivalence proptest uses 1; the bench
+    /// a sparse sample.
     pub fn set_delta_check_sample(&mut self, n: u64) {
         self.delta_sample = n;
-    }
-
-    /// `(incremental µs, from-scratch µs)` timing pairs of the sampled
-    /// events so far.
-    pub fn delta_samples(&self) -> &[(u64, u64)] {
-        &self.delta_samples
     }
 
     /// Fault injection: force the next `n` checked deltas through the
@@ -460,11 +453,7 @@ impl SdxRuntime {
         for (vnh, vmac) in &compilation.vnh {
             self.arp.bind(*vnh, *vmac);
         }
-        // A full install retires every overlay. Reconcile — don't subtract —
-        // the overlay accounting: `remove_by_cookie` during churn may have
-        // already dropped rules this counter never saw.
         self.overlays.clear();
-        self.incremental.overlay_rules = 0;
         self.needs_reoptimize = false;
         // Deny-skipped deltas degraded to this full reoptimize; hand the
         // count to the stats and reset the window.
@@ -489,25 +478,28 @@ impl SdxRuntime {
         Ok(stats)
     }
 
+    /// The pipeline a wholesale install of `compilation` loads, in
+    /// traversal order: each table's classifier and the table its non-drop
+    /// rules `goto`. Multi-table mode runs the sender stage (goto 1), then
+    /// the receiver stage, with no composition; otherwise the composed
+    /// fabric is the single table.
+    fn pipeline<'c>(&self, compilation: &'c Compilation) -> Vec<(&'c Classifier, Option<usize>)> {
+        if self.options.multi_table {
+            vec![(&compilation.stage1, Some(1)), (&compilation.stage2, None)]
+        } else {
+            vec![(&compilation.fabric, None)]
+        }
+    }
+
     /// Wholesale install: reset the pipeline and load the compiled tables.
     fn install_wholesale(&mut self, compilation: &Compilation) {
-        if self.options.multi_table {
-            // Two-table pipeline: sender stage in table 0 (goto 1),
-            // receiver stage in table 1. No composition needed.
-            let master = self.switch.master_mut();
-            master.reset_pipeline(2);
-            master
-                .table_at_mut(0)
-                .expect("table 0")
-                .install_classifier_goto(&compilation.stage1, BASE_COOKIE, Some(1));
-            master
-                .table_at_mut(1)
-                .expect("table 1")
-                .install_classifier(&compilation.stage2, BASE_COOKIE);
-        } else {
-            let master = self.switch.master_mut();
-            master.reset_pipeline(1);
-            master.install_classifier(&compilation.fabric, BASE_COOKIE);
+        let pipeline = self.pipeline(compilation);
+        let master = self.switch.master_mut();
+        master.reset_pipeline(pipeline.len());
+        for (i, (classifier, goto)) in pipeline.into_iter().enumerate() {
+            if let Some(table) = master.table_at_mut(i) {
+                table.install_classifier_goto(classifier, BASE_COOKIE, goto);
+            }
         }
     }
 
@@ -521,8 +513,7 @@ impl SdxRuntime {
         compilation: &Compilation,
         schedule: &sdx_plan::Schedule,
     ) -> bool {
-        let want_tables = if self.options.multi_table { 2 } else { 1 };
-        if self.switch.master().table_count() != want_tables {
+        if self.switch.master().table_count() != self.pipeline(compilation).len() {
             return false;
         }
         for step in &schedule.order {
@@ -537,60 +528,41 @@ impl SdxRuntime {
             }
         }
         // Paranoia cross-check: the planned result must be content-identical
-        // to what a wholesale install would have produced.
+        // to what a wholesale install would have produced; if not, the
+        // wholesale reinstall repairs the divergence.
         let fresh = self.reference_tables(compilation);
-        let matches = (0..want_tables).all(|i| {
-            self.switch
-                .master()
-                .table_at(i)
-                .map(|t| t.fingerprint() == fresh[i].fingerprint())
-                .unwrap_or(false)
-        });
-        if !matches {
-            return false; // wholesale reinstall repairs the divergence
-        }
-        true
+        let live = self.switch.master().tables();
+        live.len() == fresh.len()
+            && live
+                .iter()
+                .zip(&fresh)
+                .all(|(l, f)| l.fingerprint() == f.fingerprint())
     }
 
     /// The tables a wholesale install of `compilation` would produce.
     fn reference_tables(&self, compilation: &Compilation) -> Vec<FlowTable> {
-        if self.options.multi_table {
-            let mut t0 = FlowTable::new();
-            t0.install_classifier_goto(&compilation.stage1, BASE_COOKIE, Some(1));
-            let mut t1 = FlowTable::new();
-            t1.install_classifier(&compilation.stage2, BASE_COOKIE);
-            vec![t0, t1]
-        } else {
-            let mut t = FlowTable::new();
-            t.install_classifier(&compilation.fabric, BASE_COOKIE);
-            vec![t]
-        }
-    }
-
-    /// The rule content of the currently installed pipeline, per table.
-    fn installed_state(&self) -> Vec<TableState> {
-        (0..self.switch.master().table_count())
-            .map(|i| {
-                sdx_plan::state_of_table(
-                    self.switch
-                        .master()
-                        .table_at(i)
-                        .expect("table index in range"),
-                )
+        self.pipeline(compilation)
+            .into_iter()
+            .map(|(classifier, goto)| {
+                let mut table = FlowTable::new();
+                table.install_classifier_goto(classifier, BASE_COOKIE, goto);
+                table
             })
             .collect()
     }
 
+    /// The rule content of the currently installed pipeline, per table.
+    fn installed_state(&self) -> Vec<TableState> {
+        let tables = self.switch.master().tables();
+        tables.iter().map(sdx_plan::state_of_table).collect()
+    }
+
     /// The rule content a wholesale install of `compilation` would produce.
     fn target_state(&self, compilation: &Compilation) -> Vec<TableState> {
-        if self.options.multi_table {
-            vec![
-                sdx_plan::state_of_classifier(&compilation.stage1, Some(1)),
-                sdx_plan::state_of_classifier(&compilation.stage2, None),
-            ]
-        } else {
-            vec![sdx_plan::state_of_classifier(&compilation.fabric, None)]
-        }
+        self.pipeline(compilation)
+            .into_iter()
+            .map(|(classifier, goto)| sdx_plan::state_of_classifier(classifier, goto))
+            .collect()
     }
 
     /// The update planner's report for the most recent plan-gated
@@ -703,10 +675,6 @@ impl SdxRuntime {
             .master_mut()
             .table_mut()
             .remove_by_cookie(old.cookie);
-        // Saturating on purpose: `remove_by_cookie` reports what the *table*
-        // held, which can exceed what this counter ever saw if a recompile
-        // reconciled the accounting in between.
-        self.incremental.overlay_rules = self.incremental.overlay_rules.saturating_sub(removed);
         self.arp.unbind(&old.vnh);
         removed
     }
@@ -746,55 +714,32 @@ impl SdxRuntime {
     /// lands directly above the table's live priority ceiling, so each
     /// fragment owns a priority band of its own; every full compile resets
     /// the ceiling to the base table's.
+    ///
+    /// A withdrawal (no route left anywhere) is the same transition to an
+    /// empty fragment: no VNH is allocated and no cookie consumed, the
+    /// schedule is the old fragment's drain alone, and the routers stop
+    /// tagging the prefix.
     fn fast_path_delta(&mut self, prefix: Prefix) -> DeltaInstall {
-        if self.route_server.best_route_global(&prefix).is_none() {
-            // Withdrawal: the only rules to go are the retiring overlay's,
-            // and the routers stop tagging the prefix — the removals are
-            // post-barrier drains.
-            let checked = if self.delta_check_active() {
-                let old_state = self.overlay_state(&prefix);
-                let steps = sdx_plan::diff(&[old_state], &[TableState::new()]);
-                let schedule = sdx_plan::Schedule {
-                    order: steps.clone(),
-                    barrier: 0,
-                    two_phase: true,
-                };
-                let advert_now = self.delta_advert_now(&self.route_server.advert_map(&prefix));
-                self.check_streamed_delta(prefix, Vec::new(), advert_now, schedule, steps)
-            } else {
-                None
-            };
-            if matches!(checked, Some((_, true))) {
-                return DeltaInstall::default(); // denied; stale rules stay
-            }
-            let removed = self.retire_overlay(prefix);
-            self.incremental.delta_removed = self
-                .incremental
-                .delta_removed
-                .saturating_add(removed as u64);
-            if let Some((ev, _)) = checked {
-                if let Some(c) = self.delta_checker.as_mut() {
-                    c.commit(&ev, &ev.schedule.order);
-                }
-            }
-            return DeltaInstall {
-                installed: 0,
-                removed,
-            };
-        }
-
         // Allocate *before* retiring the previous fragment: when the pool
         // is exhausted the stale fragment keeps forwarding the prefix (its
         // VNH is still advertised and its rules still present) instead of
         // leaving it ruleless until someone happens to recompile. The
         // condition is counted and flags the background stage.
-        let Some((vnh, vmac)) = self.alloc.allocate() else {
-            self.incremental.overlay_exhausted =
-                self.incremental.overlay_exhausted.saturating_add(1);
-            self.needs_reoptimize = true;
-            return DeltaInstall::default();
+        let fresh = if self.route_server.best_route_global(&prefix).is_some() {
+            let Some(binding) = self.alloc.allocate() else {
+                self.incremental.overlay_exhausted =
+                    self.incremental.overlay_exhausted.saturating_add(1);
+                self.needs_reoptimize = true;
+                return DeltaInstall::default();
+            };
+            Some(binding)
+        } else {
+            None
         };
-        let fragment = self.fragment_for(&prefix, vmac);
+        let vmac = fresh.map(|(_, vmac)| vmac);
+        let fragment = vmac
+            .map(|vmac| self.fragment_for(&prefix, vmac))
+            .unwrap_or_default();
         let n = fragment.len() as u32;
         // A long-lived runtime can run the band above the ceiling out of
         // priority space. That is an operational condition, not a bug:
@@ -823,14 +768,16 @@ impl SdxRuntime {
         // Statically certify (or reorder, or reject) the make-before-break
         // schedule before a single rule moves. A denied delta installs
         // nothing: the stale overlay keeps forwarding and the scheduled full
-        // reoptimize recovers. (The VNH allocated above stays consumed until
+        // reoptimize recovers. (A VNH allocated above stays consumed until
         // that reoptimize resets the pool — bounded by the deny window.)
         let checked = if self.delta_check_active() {
             let old_state = self.overlay_state(&prefix);
             let steps = sdx_plan::diff(&[old_state], std::slice::from_ref(&new_state));
             let schedule = sdx_plan::make_before_break(&steps);
             let adverts = self.route_server.advert_map(&prefix);
-            let adds = self.delta_adds(&prefix, vmac, &adverts);
+            let adds = vmac
+                .map(|vmac| self.delta_adds(&prefix, vmac, &adverts))
+                .unwrap_or_default();
             let advert_now = self.delta_advert_now(&adverts);
             self.check_streamed_delta(prefix, adds, advert_now, schedule, steps)
         } else {
@@ -845,15 +792,22 @@ impl SdxRuntime {
         // install side is exactly the new fragment and its removal side
         // exactly the old cookie's rules, which one `remove_by_cookie`
         // retires with a single index rebuild.
-        let cookie = self.next_cookie;
-        self.next_cookie += 1;
         let installed = new_state.len();
-        {
+        let overlay = fresh.map(|(vnh, vmac)| {
+            let cookie = self.next_cookie;
+            self.next_cookie += 1;
             let table = self.switch.master_mut().table_mut();
             for rule in &new_state {
                 table.install(rule.to_flow_rule(cookie));
             }
-        }
+            Overlay {
+                prefix,
+                vnh,
+                vmac,
+                cookie,
+                rules: installed,
+            }
+        });
         let removed = self.retire_overlay(prefix);
         if let Some((ev, _)) = &checked {
             let schedule = &ev.schedule;
@@ -863,8 +817,10 @@ impl SdxRuntime {
                 "checked schedule diverged from the installed delta"
             );
         }
-        self.arp.bind(vnh, vmac);
-        self.incremental.overlay_rules = self.incremental.overlay_rules.saturating_add(installed);
+        if let Some(o) = overlay {
+            self.arp.bind(o.vnh, o.vmac);
+            self.overlays.push(o);
+        }
         self.incremental.delta_installed = self
             .incremental
             .delta_installed
@@ -873,13 +829,6 @@ impl SdxRuntime {
             .incremental
             .delta_removed
             .saturating_add(removed as u64);
-        self.overlays.push(Overlay {
-            prefix,
-            vnh,
-            vmac,
-            cookie,
-            rules: installed,
-        });
         if let Some((ev, _)) = checked {
             if let Some(c) = self.delta_checker.as_mut() {
                 c.commit(&ev, &ev.schedule.order);
@@ -897,10 +846,7 @@ impl SdxRuntime {
     /// none is installed).
     fn overlay_state(&self, prefix: &Prefix) -> TableState {
         match self.overlays.iter().find(|o| o.prefix == *prefix) {
-            Some(o) => sdx_plan::state_of_cookie(
-                self.switch.master().table_at(0).expect("table 0"),
-                o.cookie,
-            ),
+            Some(o) => sdx_plan::state_of_cookie(self.switch.master().table(), o.cookie),
             None => TableState::new(),
         }
     }
@@ -958,7 +904,7 @@ impl SdxRuntime {
     /// Build, check, record, and (on `Deny` + unsafe) veto one streamed
     /// delta. Returns `(event, denied)`; the caller must install and
     /// [`commit`](sdx_plan::IncrementalChecker::commit) the event unless
-    /// `denied`.
+    /// `denied`. `None` (unchecked) when no checker is seeded.
     fn check_streamed_delta(
         &mut self,
         prefix: Prefix,
@@ -983,16 +929,11 @@ impl SdxRuntime {
                 .is_multiple_of(self.delta_sample);
 
         let start = Instant::now();
-        let need = self
-            .delta_checker
-            .as_ref()
-            .map(|c| c.needs_tables(&ev))
-            .unwrap_or(false);
+        let need = self.delta_checker.as_ref()?.needs_tables(&ev);
         let tables = (need || sample_due || self.delta_judge_naive).then(|| self.installed_state());
         let mut report = self
             .delta_checker
-            .as_mut()
-            .expect("delta_check_active checked by caller")
+            .as_mut()?
             .check_delta(&ev, tables.as_deref());
         report.check_us = clamp_us(start.elapsed().as_micros());
 
@@ -1015,22 +956,19 @@ impl SdxRuntime {
         s.delta_check_us = s.delta_check_us.saturating_add(report.check_us);
         s.last_check_us = s.last_check_us.saturating_add(report.check_us);
 
-        // From-scratch oracle on sampled events: same verdict pipeline, no
-        // cache, no gate, full universe — the soundness cross-check.
+        // From-scratch oracle on sampled events (which carry tables): same
+        // verdict pipeline, no cache, no gate, full universe — the
+        // soundness cross-check.
         let mut from_scratch = None;
         let mut from_scratch_us = 0;
         let mut agreed = None;
-        if sample_due {
-            let t = tables.as_deref().expect("sampled events carry tables");
-            let c = self.delta_checker.as_ref().expect("checker present");
+        let oracle = tables.as_deref().filter(|_| sample_due);
+        if let (Some(t), Some(c)) = (oracle, self.delta_checker.as_ref()) {
             let t0 = Instant::now();
             let fs = c.check_from_scratch(&ev, t);
             from_scratch_us = clamp_us(t0.elapsed().as_micros());
             agreed = Some(report.agrees_with(&fs));
             from_scratch = Some(fs);
-            if self.delta_samples.len() < DELTA_SAMPLE_CAP {
-                self.delta_samples.push((report.check_us, from_scratch_us));
-            }
         }
 
         let forced = self.delta_deny_next > 0;
@@ -1058,29 +996,61 @@ impl SdxRuntime {
         Some((ev, denied))
     }
 
+    /// The VNH the SDX substitutes for `prefix`'s next hop: a fast-path
+    /// overlay's if one covers it, else the compiled group's if it belongs
+    /// to an FEC. `None` leaves the best route's own next hop ("the SDX
+    /// behaves like a normal route server").
+    fn vnh_of(&self, prefix: &Prefix) -> Option<Ipv4Addr> {
+        match self.overlays.iter().find(|o| o.prefix == *prefix) {
+            Some(o) => Some(o.vnh),
+            None => self.compilation.as_ref()?.vnh_of(prefix),
+        }
+    }
+
     /// The next hop the route server advertises to `viewer` for `prefix`:
-    /// a fast-path VNH if an overlay covers it, the compiled group VNH if it
-    /// belongs to an FEC, otherwise the original next hop of the viewer's
-    /// best route ("the SDX behaves like a normal route server").
+    /// the SDX's VNH for it, otherwise the original next hop of the
+    /// viewer's best route.
     pub fn advertised_next_hop(&self, prefix: &Prefix, viewer: ParticipantId) -> Option<Ipv4Addr> {
-        if let Some(o) = self.overlays.iter().find(|o| o.prefix == *prefix) {
-            return Some(o.vnh);
-        }
-        if let Some(c) = &self.compilation {
-            if let Some(vnh) = c.vnh_of(prefix) {
-                return Some(vnh);
-            }
-        }
-        self.route_server
-            .best_route(prefix, viewer.peer())
-            .map(|c| c.route.attrs.next_hop)
+        self.vnh_of(prefix).or_else(|| {
+            self.route_server
+                .best_route(prefix, viewer.peer())
+                .map(|c| c.route.attrs.next_hop)
+        })
     }
 
     /// The full re-advertisement of `prefix` to `viewer`, with the SDX's
-    /// next-hop substitution applied.
+    /// next-hop substitution applied; `None` (a withdrawal) when the viewer
+    /// has no best route.
     pub fn advertisement(&self, prefix: &Prefix, viewer: ParticipantId) -> Option<Update> {
-        let nh = self.advertised_next_hop(prefix, viewer);
-        self.route_server.advertisement(prefix, viewer.peer(), nh)
+        let best = self.route_server.best_route(prefix, viewer.peer())?;
+        let nh = self.vnh_of(prefix).unwrap_or(best.route.attrs.next_hop);
+        Some(Update::announce(
+            [*prefix],
+            best.route.attrs.with_next_hop(nh),
+        ))
+    }
+
+    /// `viewer`'s border-router FIB decision for `prefix`, as the live
+    /// control plane converges it: the advertised next hop and the ARP
+    /// responder's answer for it. `None` when the viewer has no best route,
+    /// or announces the prefix itself — a router has its own internal route
+    /// to such a prefix and never forwards that traffic back to the fabric
+    /// (the paper's second loop-prevention invariant).
+    pub fn fib_entry(
+        &self,
+        prefix: &Prefix,
+        viewer: ParticipantId,
+    ) -> Option<(Ipv4Addr, Option<MacAddr>)> {
+        if self
+            .route_server
+            .route_from(viewer.peer(), prefix)
+            .is_some()
+        {
+            return None;
+        }
+        let best = self.route_server.best_route(prefix, viewer.peer())?;
+        let nh = self.vnh_of(prefix).unwrap_or(best.route.attrs.next_hop);
+        Some((nh, self.arp.resolve(&nh)))
     }
 
     /// Answer an ARP request (VNHs and router interfaces).
@@ -1152,37 +1122,11 @@ impl SdxRuntime {
     }
 
     /// Bring a participant's border router in sync with the SDX's current
-    /// advertisements: install every best route (with VNH substitution) into
-    /// its FIB and resolve the next hops' MACs.
+    /// advertisements: apply its [`fib_entry`](Self::fib_entry) for every
+    /// known prefix.
     pub fn sync_router(&self, viewer: ParticipantId, router: &mut BorderRouter) {
-        let own = self.route_server.announced_by(viewer.peer());
         for prefix in self.route_server.all_prefixes() {
-            // A router announcing a prefix has its own internal route to it
-            // and never forwards such traffic back to the fabric (the
-            // paper's second loop-prevention invariant).
-            if own.contains(&prefix) {
-                router.remove_route(&prefix);
-                continue;
-            }
-            match self.route_server.best_route(&prefix, viewer.peer()) {
-                Some(_) => {
-                    let nh = self
-                        .advertised_next_hop(&prefix, viewer)
-                        .expect("best route implies next hop");
-                    router.install_route(prefix, nh);
-                    if let Some(mac) = self.arp.resolve(&nh) {
-                        router.learn_arp(&ArpReply {
-                            sender_mac: mac,
-                            sender_ip: nh,
-                            target_mac: router.mac(),
-                            target_ip: router.ip(),
-                        });
-                    }
-                }
-                None => {
-                    router.remove_route(&prefix);
-                }
-            }
+            router.set_route(prefix, self.fib_entry(&prefix, viewer));
         }
     }
 
@@ -1195,15 +1139,10 @@ impl SdxRuntime {
     pub fn export_flow_mods(
         &self,
     ) -> Result<Vec<Vec<bytes::Bytes>>, sdx_switch::openflow::FlowModError> {
-        (0..self.switch.master().table_count())
-            .map(|i| {
-                sdx_switch::openflow::flow_mods_for_table(
-                    self.switch
-                        .master()
-                        .table_at(i)
-                        .expect("table index in range"),
-                )
-            })
+        let tables = self.switch.master().tables();
+        tables
+            .iter()
+            .map(sdx_switch::openflow::flow_mods_for_table)
             .collect()
     }
 
@@ -1214,14 +1153,7 @@ impl SdxRuntime {
     /// successful [`compile`](Self::compile).
     pub fn audit_installed(&self) -> Option<sdx_analyze::Analysis> {
         let compilation = self.compilation.as_ref()?;
-        let input = CompileInput {
-            participants: &self.participants,
-            policies: &self.policies,
-            policy_versions: &self.policy_versions,
-            route_server: &self.route_server,
-            options: self.options,
-        };
-        let mut analysis_input = crate::analysis::build_input(&input, compilation);
+        let mut analysis_input = crate::analysis::build_input(&self.input(), compilation);
         analysis_input.arp_bound = Some(
             compilation
                 .vnh
@@ -1236,13 +1168,10 @@ impl SdxRuntime {
     /// The installed pipeline tables, as classifiers in traversal order
     /// (fast-path fragments included, above the base table).
     fn installed_tables(&self) -> Vec<Classifier> {
-        (0..self.switch.master().table_count())
-            .map(|i| {
-                let table = self
-                    .switch
-                    .master()
-                    .table_at(i)
-                    .expect("table index in range");
+        let tables = self.switch.master().tables();
+        tables
+            .iter()
+            .map(|table| {
                 Classifier::new(
                     table
                         .rules()
@@ -1258,34 +1187,21 @@ impl SdxRuntime {
     }
 
     /// The FIB model of one participant as the *live* control plane would
-    /// converge it: fast-path overlay VNHs take precedence over compiled
-    /// group VNHs, and MACs resolve through the real ARP responder.
+    /// converge it: its [`fib_entry`](Self::fib_entry) for every prefix.
     fn live_fib(&self, viewer: ParticipantId) -> sdx_analyze::FibModel {
-        let own = self.route_server.announced_by(viewer.peer());
-        let mut entries = Vec::new();
-        for prefix in self.route_server.all_prefixes() {
-            if own.contains(&prefix) {
-                continue;
-            }
-            if self
-                .route_server
-                .best_route(&prefix, viewer.peer())
-                .is_none()
-            {
-                continue;
-            }
-            let nh = self
-                .advertised_next_hop(&prefix, viewer)
-                .expect("best route implies next hop");
-            entries.push(sdx_analyze::FibEntry {
-                prefix,
-                next_hop: nh,
-                mac: self.arp.resolve(&nh).map(|m| m.to_u64()),
-            });
-        }
+        let entries = self.route_server.all_prefixes().into_iter();
         sdx_analyze::FibModel {
             participant: viewer.0,
-            entries,
+            entries: entries
+                .filter_map(|prefix| {
+                    let (next_hop, mac) = self.fib_entry(&prefix, viewer)?;
+                    Some(sdx_analyze::FibEntry {
+                        prefix,
+                        next_hop,
+                        mac: mac.map(|m| m.to_u64()),
+                    })
+                })
+                .collect(),
         }
     }
 
@@ -1361,20 +1277,17 @@ impl SdxRuntime {
         options.verify = sdx_analyze::AnalysisMode::Off;
         let (new, participants) = {
             let input = CompileInput {
-                participants: &self.participants,
-                policies: &self.policies,
-                policy_versions: &self.policy_versions,
-                route_server: &self.route_server,
                 options,
+                ..self.input()
             };
             let mut alloc = VnhAllocator::default_pool();
             let memo = MemoCache::new();
             let fresh = compile(&input, &mut alloc, &memo).ok()?;
-            let tables = if options.multi_table {
-                vec![fresh.stage1.clone(), fresh.stage2.clone()]
-            } else {
-                vec![fresh.fabric.clone()]
-            };
+            let tables = self
+                .pipeline(&fresh)
+                .into_iter()
+                .map(|(classifier, _)| classifier.clone())
+                .collect();
             let fibs = crate::verify::build_verify_input(&input, &fresh).fibs;
             (
                 sdx_analyze::DiffSide { tables, fibs },

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use sdx_policy::Packet;
-use sdx_switch::{encode_frame, BorderRouter, Forward, PcapWriter};
+use sdx_switch::{encode_frame, BorderRouter, PcapWriter};
 
 use crate::{ParticipantId, SdxRuntime};
 
@@ -211,21 +211,9 @@ impl FabricSim {
     fn forward_frame(&mut self, from: ParticipantId, packet: Packet) -> Option<Packet> {
         let (_, router) = self
             .routers
-            .iter_mut()
-            .map(|(_, v)| v)
+            .values_mut()
             .find(|(owner, _)| *owner == from)?;
-        match router.forward(packet.clone()) {
-            Forward::Frame(f) => Some(f),
-            Forward::NeedArp(req) => {
-                let reply = self.runtime.resolve_arp(&req)?;
-                router.learn_arp(&reply);
-                match router.forward(packet) {
-                    Forward::Frame(f) => Some(f),
-                    _ => None,
-                }
-            }
-            Forward::NoRoute => None,
-        }
+        router.forward_resolving(packet, |req| self.runtime.resolve_arp(req))
     }
 
     fn capture_frame(&mut self, frame: &Packet) {

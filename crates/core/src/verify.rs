@@ -4,12 +4,14 @@
 //! The verifier consumes a [`VerifyInput`]: compiled stage tables, the
 //! border-router FIB/ARP tagging model, the VNH allocation, and the route
 //! server's advertisement ground truth. This module lowers controller state
-//! into that form. The FIB model mirrors [`SdxRuntime::sync_router`]: a
-//! router never keeps fabric routes for prefixes it announces itself, takes
-//! the SDX-advertised (virtual) next hop for everything else, and resolves
-//! the next hop's MAC — the VMAC tag — through ARP.
+//! into that form. The synthesized FIB model follows the same decision as
+//! [`SdxRuntime::fib_entry`], which every live router sync and the
+//! runtime's own live FIB models use: a router never keeps fabric routes
+//! for prefixes it announces itself, takes the SDX-advertised (virtual)
+//! next hop for everything else, and resolves the next hop's MAC — the VMAC
+//! tag — through ARP.
 //!
-//! [`SdxRuntime::sync_router`]: crate::SdxRuntime::sync_router
+//! [`SdxRuntime::fib_entry`]: crate::SdxRuntime::fib_entry
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;

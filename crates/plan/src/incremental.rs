@@ -529,14 +529,14 @@ impl IncrementalChecker {
 
     /// Build the transient [`Checker`] for one event over `keys`, plus the
     /// post-schedule table state. `seed` pulls old-side partitions from the
-    /// persistent cache.
+    /// persistent cache; returns how many it pulled.
     fn transient_checker(
-        &mut self,
+        &self,
         ev: &DeltaEvent,
         keys: &BTreeSet<EmissionKey>,
         initial: &[TableState],
         seed: bool,
-    ) -> Checker {
+    ) -> (Checker, u64) {
         let injections = self.build_injections(ev, keys);
         let old_tables: Vec<Classifier> = initial.iter().map(classifier_of).collect();
         let mut new_state = initial.to_vec();
@@ -557,15 +557,16 @@ impl IncrementalChecker {
             self.port_owner.clone(),
             self.vport_base,
         );
+        let mut seeded = 0;
         if seed {
             for idx in 0..n {
                 if let Some(parts) = self.partitions.get(&checker.injection_key(idx)) {
                     checker.seed_old_partition(idx, parts.clone());
-                    sat(&mut self.stats.partition_seeded, 1);
+                    seeded += 1;
                 }
             }
         }
-        checker
+        (checker, seeded)
     }
 
     /// Check a streamed delta. `tables` (the installed state) is required
@@ -607,7 +608,19 @@ impl IncrementalChecker {
                 return r;
             };
             let keys = self.universe(ev);
-            let r = self.check_symbolic(ev, &keys, initial, true);
+            let (r, checker, seeded) = self.check_symbolic(ev, &keys, initial, true);
+            sat(&mut self.stats.partition_seeded, seeded);
+            if r.verdict != DeltaVerdict::Rejected {
+                // Harvest the new-side partitions for the persistent cache;
+                // they describe the post-delta tables, valid once the delta
+                // commits (any safe schedule ends in the same final state).
+                let mut harvest = BTreeMap::new();
+                for (idx, parts) in checker.take_new_partitions() {
+                    harvest.insert(checker.injection_key(idx), parts);
+                }
+                sat(&mut self.stats.partition_harvested, harvest.len() as u64);
+                self.pending = Some(harvest);
+            }
             match r.verdict {
                 DeltaVerdict::Certified => sat(&mut self.stats.certified_symbolic, 1),
                 DeltaVerdict::Reordered => sat(&mut self.stats.reordered, 1),
@@ -621,7 +634,7 @@ impl IncrementalChecker {
         if self.judge_naive && !ev.naive.is_empty() {
             if let Some(initial) = tables {
                 let keys = self.full_universe(ev);
-                let checker = self.transient_checker(ev, &keys, initial, false);
+                let (checker, _) = self.transient_checker(ev, &keys, initial, false);
                 let (naive, _us) = judge_order(&checker, initial, &ev.naive);
                 report.naive_violations = naive;
             }
@@ -633,15 +646,17 @@ impl IncrementalChecker {
     /// schedule, search for a reorder on violations. Shared verbatim by the
     /// incremental path (restricted universe, seeded cache) and the
     /// from-scratch oracle (full universe, cold cache) — the equivalence
-    /// proptest compares exactly these two instantiations.
+    /// proptest compares exactly these two instantiations. Returns the
+    /// report, the transient checker (holding the new-side partitions) and
+    /// how many cached partitions seeded it.
     fn check_symbolic(
-        &mut self,
+        &self,
         ev: &DeltaEvent,
         keys: &BTreeSet<EmissionKey>,
         initial: &[TableState],
         seed: bool,
-    ) -> DeltaReport {
-        let checker = self.transient_checker(ev, keys, initial, seed);
+    ) -> (DeltaReport, Checker, u64) {
+        let (checker, seeded) = self.transient_checker(ev, keys, initial, seed);
         let dirty_injections = keys.len();
         let (violations, mut states_checked) = judge_schedule(&checker, initial, &ev.schedule);
 
@@ -661,19 +676,7 @@ impl IncrementalChecker {
             }
         };
 
-        if seed && verdict != DeltaVerdict::Rejected {
-            // Harvest the new-side partitions for the persistent cache;
-            // they describe the post-delta tables, valid once the delta
-            // commits (any safe schedule ends in the same final state).
-            let mut harvest = BTreeMap::new();
-            for (idx, parts) in checker.take_new_partitions() {
-                harvest.insert(checker.injection_key(idx), parts);
-            }
-            sat(&mut self.stats.partition_harvested, harvest.len() as u64);
-            self.pending = Some(harvest);
-        }
-
-        DeltaReport {
+        let report = DeltaReport {
             verdict,
             structural: false,
             schedule,
@@ -682,66 +685,18 @@ impl IncrementalChecker {
             dirty_injections,
             states_checked,
             check_us: 0,
-        }
+        };
+        (report, checker, seeded)
     }
 
     /// The from-scratch oracle: the identical verdict pipeline with no
     /// structural gate, no seeded partitions, and the full injection
     /// universe — what a batch `sdx-plan` check of every intermediate state
     /// decides. Used by the soundness proptest and the bench's speedup
-    /// measurement; never touches the persistent caches.
+    /// measurement; never touches the persistent caches or counters.
     pub fn check_from_scratch(&self, ev: &DeltaEvent, tables: &[TableState]) -> DeltaReport {
-        // `check_symbolic` only mutates `self` through stats and the
-        // pending harvest, both disabled here via a scratch clone of the
-        // index state. Cheap path: reuse the logic through a shim that
-        // borrows immutably.
         let keys = self.full_universe(ev);
-        let injections = self.build_injections(ev, &keys);
-        let old_tables: Vec<Classifier> = tables.iter().map(classifier_of).collect();
-        let mut new_state = tables.to_vec();
-        for step in &ev.schedule.order {
-            apply(&mut new_state, step);
-        }
-        let new_tables: Vec<Classifier> = new_state.iter().map(classifier_of).collect();
-        let mut advertised = self.advertised.clone();
-        for (a, v) in &ev.advert_now {
-            advertised.entry((*a, *v)).or_default().insert(ev.prefix);
-        }
-        let dirty_injections = injections.len();
-        let checker = Checker::from_parts(
-            old_tables,
-            new_tables,
-            injections,
-            advertised,
-            self.port_owner.clone(),
-            self.vport_base,
-        );
-        let (violations, mut states_checked) = judge_schedule(&checker, tables, &ev.schedule);
-        let (verdict, schedule) = if violations.is_empty() {
-            (DeltaVerdict::Certified, None)
-        } else {
-            let result = synthesize(
-                &checker,
-                tables,
-                &ev.schedule.order,
-                crate::DEFAULT_SEARCH_BUDGET,
-            );
-            states_checked += result.explored;
-            match result.schedule {
-                Some(s) => (DeltaVerdict::Reordered, Some(s)),
-                None => (DeltaVerdict::Rejected, None),
-            }
-        };
-        DeltaReport {
-            verdict,
-            structural: false,
-            schedule,
-            violations,
-            naive_violations: Vec::new(),
-            dirty_injections,
-            states_checked,
-            check_us: 0,
-        }
+        self.check_symbolic(ev, &keys, tables, false).0
     }
 
     /// Commit a checked delta: the steps of `installed` went into the live

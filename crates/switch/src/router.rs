@@ -79,6 +79,23 @@ impl BorderRouter {
         self.fib.remove(prefix)
     }
 
+    /// Apply one FIB decision for `prefix`: `Some((next_hop, mac))`
+    /// installs the route and, when the next hop resolved, learns its MAC;
+    /// `None` removes the route.
+    pub fn set_route(&mut self, prefix: Prefix, route: Option<(Ipv4Addr, Option<MacAddr>)>) {
+        match route {
+            Some((next_hop, mac)) => {
+                self.install_route(prefix, next_hop);
+                if let Some(mac) = mac {
+                    self.arp_cache.insert(next_hop, mac);
+                }
+            }
+            None => {
+                self.remove_route(&prefix);
+            }
+        }
+    }
+
     /// Number of FIB entries.
     pub fn fib_len(&self) -> usize {
         self.fib.len()
@@ -133,6 +150,27 @@ impl BorderRouter {
         pkt.set(Field::SrcMac, self.mac);
         pkt.set(Field::DstMac, *nh_mac);
         Forward::Frame(pkt)
+    }
+
+    /// [`forward`](Self::forward) with ARP resolved synchronously: on a
+    /// cache miss, ask `arp`, learn the reply, and retry once. The frame,
+    /// or `None` when there is no route or the next hop does not resolve.
+    pub fn forward_resolving(
+        &mut self,
+        pkt: Packet,
+        arp: impl FnOnce(&ArpRequest) -> Option<ArpReply>,
+    ) -> Option<Packet> {
+        match self.forward(pkt.clone()) {
+            Forward::Frame(f) => Some(f),
+            Forward::NeedArp(req) => {
+                self.learn_arp(&arp(&req)?);
+                match self.forward(pkt) {
+                    Forward::Frame(f) => Some(f),
+                    _ => None,
+                }
+            }
+            Forward::NoRoute => None,
+        }
     }
 }
 
@@ -240,6 +278,45 @@ mod tests {
             Some(MacAddr::from_u64(0x42))
         );
         assert_eq!(r.arp_lookup("172.16.0.6".parse().unwrap()), None);
+    }
+
+    #[test]
+    fn set_route_applies_one_fib_decision() {
+        let mut r = router();
+        let prefix: Prefix = "10.0.0.0/8".parse().unwrap();
+        let (nh1, nh2): (Ipv4Addr, Ipv4Addr) =
+            ("172.16.0.5".parse().unwrap(), "172.16.0.6".parse().unwrap());
+        r.set_route(prefix, Some((nh1, Some(MacAddr::from_u64(0x42)))));
+        assert_eq!(r.routes().collect::<Vec<_>>(), vec![(prefix, nh1)]);
+        assert_eq!(r.arp_lookup(nh1), Some(MacAddr::from_u64(0x42)));
+        // An unresolved next hop installs the route and learns nothing.
+        r.set_route(prefix, Some((nh2, None)));
+        assert_eq!(r.routes().collect::<Vec<_>>(), vec![(prefix, nh2)]);
+        assert_eq!(r.arp_lookup(nh2), None);
+        r.set_route(prefix, None);
+        assert_eq!(r.fib_len(), 0);
+    }
+
+    #[test]
+    fn forward_resolving_learns_and_retries_once() {
+        let mut r = router();
+        r.install_route("10.0.0.0/8".parse().unwrap(), "172.16.0.5".parse().unwrap());
+        assert_eq!(r.forward_resolving(ip_pkt("10.0.0.1"), |_| None), None);
+        let frame = r
+            .forward_resolving(ip_pkt("10.0.0.1"), |req| {
+                assert_eq!(req.target_ip, "172.16.0.5".parse::<Ipv4Addr>().unwrap());
+                Some(reply("172.16.0.5", 7))
+            })
+            .expect("resolved frame");
+        assert_eq!(frame.dst_mac(), Some(MacAddr::from_u64(7)));
+        // The binding is cached: no second ARP round trip.
+        assert!(r
+            .forward_resolving(ip_pkt("10.0.0.1"), |_| panic!("cached"))
+            .is_some());
+        assert_eq!(
+            r.forward_resolving(ip_pkt("30.0.0.1"), |_| panic!("no route")),
+            None
+        );
     }
 
     #[test]

@@ -324,7 +324,7 @@ impl SoftSwitch {
     }
 
     /// The whole pipeline, in traversal order.
-    pub(crate) fn tables(&self) -> &[FlowTable] {
+    pub fn tables(&self) -> &[FlowTable] {
         &self.tables
     }
 

@@ -56,10 +56,10 @@ struct Interp {
     next_id: u32,
     pending_policies: BTreeMap<ParticipantId, ParticipantPolicy>,
     out: String,
-    /// Route `announce`/`withdraw` lines after the first `compile` through
-    /// the streamed delta path ([`SdxRuntime::apply_update_delta`]) instead
-    /// of the batch RIB mutation, emitting the incremental verifier's
-    /// per-delta verdict into the transcript.
+    /// Render every `announce`/`withdraw` line after the first `compile`
+    /// into the transcript as a delta: the incremental verifier's
+    /// per-delta verdicts and the rule counts. Both modes apply updates
+    /// through [`SdxRuntime::apply_update_delta`]; this one only reports.
     delta: bool,
     /// Delta-log records already rendered into the transcript.
     delta_logged: usize,
@@ -565,9 +565,11 @@ impl Interp {
         let viewer = self.lookup(t.get(1).ok_or("advertisements needs a participant")?)?;
         let runtime = self.runtime()?;
         let mut lines = Vec::new();
+        // What the route server actually sends the viewer: prefixes it has
+        // no best route for are withdrawn, not advertised.
         for prefix in runtime.route_server().all_prefixes() {
-            if let Some(nh) = runtime.advertised_next_hop(&prefix, viewer) {
-                lines.push(format!("advertise {prefix} nexthop {nh}"));
+            if let Some(attrs) = runtime.advertisement(&prefix, viewer).and_then(|u| u.attrs) {
+                lines.push(format!("advertise {prefix} nexthop {}", attrs.next_hop));
             }
         }
         for l in lines {

@@ -105,3 +105,24 @@ fn committed_figure1_scenario_runs() {
     // After B withdraws p3, the final send lands on C.
     assert!(out.trim_end().ends_with("delivered to C port 4"), "{out}");
 }
+
+#[test]
+fn advertisements_list_only_routes_the_viewer_receives() {
+    // B alone announces 20/8 and A's policy groups it: A receives the route
+    // on the group's VNH, while B — with no best route of its own — is sent
+    // a withdrawal, so nothing may be listed for it.
+    let base = r#"
+participant A asn 100 port 1 mac 02:00:00:00:00:01 ip 172.0.0.1
+participant B asn 200 port 2 mac 02:00:00:00:00:02 ip 172.0.0.2
+announce B 20.0.0.0/8 path 200 nexthop 172.0.0.2
+policy A outbound match dstport=80 fwd B
+compile
+"#;
+    let to_a = run_scenario(&format!("{base}advertisements A\n")).unwrap();
+    assert!(
+        to_a.contains("advertise 20.0.0.0/8 nexthop 172.16."),
+        "{to_a}"
+    );
+    let to_b = run_scenario(&format!("{base}advertisements B\n")).unwrap();
+    assert!(!to_b.contains("advertise 20.0.0.0/8"), "{to_b}");
+}
