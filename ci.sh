@@ -42,6 +42,16 @@ grep -q '"threads":4' "$smoke_dir/b4.json" || {
     echo "ci: bench json missing thread count" >&2; exit 1
 }
 
+echo "== full-scale fig8 gate (fig8 at SDX_THREADS=1 vs BENCH_compile.json)"
+# The 15 full-scale points are the fabrics policy-forward replays: each
+# record's participant, group and rule counts and its fabric fingerprint
+# must equal the committed baseline's. Only the wall clocks may differ.
+SDX_THREADS=1 SDX_BENCH_JSON="$smoke_dir/fig8.json" target/release/fig8 > /dev/null
+fig8_outputs() { sed -E 's/,"threads":[0-9]+//; s/,"wall_us".*//' "$1"; }
+if ! diff <(fig8_outputs BENCH_compile.json) <(fig8_outputs "$smoke_dir/fig8.json"); then
+    echo "ci: full-scale fig8 outputs diverged from BENCH_compile.json" >&2; exit 1
+fi
+
 echo "== reachability verify smoke (fig8 quick, SDX_VERIFY=1, threads 1 vs 4)"
 # Run the whole-fabric verifier (isolation, blackhole, VNH integrity passes
 # on every compile, plus the differential recompile check after BGP churn)

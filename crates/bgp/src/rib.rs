@@ -3,14 +3,18 @@
 
 use std::collections::BTreeMap;
 
-use sdx_ip::{Prefix, PrefixSet, PrefixTrie};
+use sdx_ip::{Prefix, PrefixSet};
 
 use crate::{PeerId, Route};
 
 /// The routes learned from a single peer, indexed by prefix.
+///
+/// The route server only looks routes up by exact prefix and walks them in
+/// order, never by longest match, so an ordered map serves: it iterates in
+/// (address, length) order, a covering prefix just before its subnets.
 #[derive(Debug, Clone, Default)]
 pub struct AdjRibIn {
-    routes: PrefixTrie<Route>,
+    routes: BTreeMap<Prefix, Route>,
 }
 
 impl AdjRibIn {
@@ -47,12 +51,12 @@ impl AdjRibIn {
 
     /// Every prefix the peer currently announces.
     pub fn prefixes(&self) -> PrefixSet {
-        self.routes.iter().map(|(p, _)| p).collect()
+        self.routes.keys().copied().collect()
     }
 
-    /// Iterate over `(prefix, route)` pairs.
+    /// Iterate over `(prefix, route)` pairs in (address, length) order.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &Route)> {
-        self.routes.iter()
+        self.routes.iter().map(|(prefix, route)| (*prefix, route))
     }
 }
 
@@ -129,6 +133,9 @@ impl CandidateTable {
 mod tests {
     use super::*;
     use crate::{AsPath, PathAttributes};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sdx_ip::PrefixTrie;
     use std::net::Ipv4Addr;
 
     fn route(prefix: &str, first_as: u32) -> Route {
@@ -157,6 +164,50 @@ mod tests {
         let ps = rib.prefixes();
         assert_eq!(ps.len(), 2);
         assert!(ps.contains(&"10.0.0.0/8".parse().unwrap()));
+    }
+
+    #[test]
+    fn adj_rib_in_iterates_like_a_prefix_trie() {
+        // Covering and nested prefixes under one /8, so the walk order has to
+        // put each covering prefix right before its subnets.
+        let pool: Vec<Prefix> = (8..=24u8)
+            .step_by(4)
+            .flat_map(|len| {
+                (0..4u32).map(move |i| Prefix::from_bits(0x0a00_0000 | (i << (32 - len)), len))
+            })
+            .chain([Prefix::DEFAULT, Prefix::from_bits(0x0b00_0000, 8)])
+            .collect();
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..32 {
+            let mut rib = AdjRibIn::new();
+            let mut trie = PrefixTrie::new();
+            for _ in 0..rng.gen_range(1..60usize) {
+                let prefix = pool[rng.gen_range(0..pool.len())];
+                if rng.gen_bool(0.3) {
+                    assert_eq!(
+                        rib.remove(&prefix).map(|r| r.prefix),
+                        trie.remove(&prefix).map(|r: Route| r.prefix)
+                    );
+                } else {
+                    let r = Route::new(
+                        prefix,
+                        PathAttributes::new(
+                            AsPath::sequence([rng.gen_range(1..5u32)]),
+                            Ipv4Addr::new(10, 0, 0, 1),
+                        ),
+                    );
+                    assert_eq!(rib.insert(r.clone()), trie.insert(prefix, r));
+                }
+            }
+            let got: Vec<(Prefix, &Route)> = rib.iter().collect();
+            let want: Vec<(Prefix, &Route)> = trie.iter().collect();
+            assert_eq!(got, want);
+            assert_eq!(rib.len(), trie.len());
+            assert_eq!(
+                rib.prefixes().iter().copied().collect::<Vec<_>>(),
+                want.iter().map(|(p, _)| *p).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

@@ -272,53 +272,55 @@ impl RouteServer {
         out
     }
 
-    /// The prefixes `for_peer` may forward through `next_hop`: announced by
-    /// `next_hop` and exported to `for_peer`. This set becomes the BGP filter
-    /// spliced into `for_peer`'s outbound policies (§4.1).
+    /// The prefixes `for_peer` may forward through `next_hop`: every prefix
+    /// of `next_hop`'s Adj-RIB-In that [`exports_to`](Self::exports_to)
+    /// admits. This set becomes the BGP filter spliced into `for_peer`'s
+    /// outbound policies (§4.1).
     pub fn prefixes_via(&self, next_hop: PeerId, for_peer: PeerId) -> PrefixSet {
-        let Some(info) = self.peers.get(&next_hop) else {
+        let (Some(exports), Some(rib)) = (
+            self.export_filter(next_hop, for_peer),
+            self.adj_in.get(&next_hop),
+        ) else {
             return PrefixSet::new();
         };
-        let Some(rib) = self.adj_in.get(&next_hop) else {
-            return PrefixSet::new();
-        };
-        let for_asn = self.peers.get(&for_peer).map(|p| p.asn);
         rib.iter()
-            .filter(|(prefix, route)| {
-                info.export.allows(prefix, for_peer)
-                    && for_asn
-                        .map(|asn| {
-                            !route.attrs.as_path.contains(asn)
-                                && Self::communities_allow(route, asn)
-                        })
-                        .unwrap_or(true)
-            })
+            .filter(|(_, route)| exports(route))
             .map(|(prefix, _)| prefix)
             .collect()
     }
 
     /// Does `announcer` export its route for `prefix` to `viewer`? (Single
-    /// point lookup; the fast path of §4.3.2 uses this instead of
-    /// materializing whole `prefixes_via` sets.)
+    /// point lookup; the fast path of §4.3.2 and compile pass 1 use this
+    /// instead of materializing whole `prefixes_via` sets.)
     pub fn exports_to(&self, announcer: PeerId, prefix: &Prefix, viewer: PeerId) -> bool {
+        self.export_filter(announcer, viewer)
+            .is_some_and(|exports| self.route_from(announcer, prefix).is_some_and(exports))
+    }
+
+    /// The export predicate behind both [`prefixes_via`](Self::prefixes_via)
+    /// and [`exports_to`](Self::exports_to), resolved once per (announcer,
+    /// viewer) pair. `None` when the announcer exports nothing to the viewer
+    /// at all: it is the viewer itself, as in
+    /// [`visible_candidates`](Self::visible_candidates), or unknown. Otherwise
+    /// a test of one of the announcer's routes: its export policy must allow
+    /// the prefix to the viewer and, when the viewer is a known peer, the AS
+    /// path must avoid the viewer's ASN and the communities must allow it.
+    fn export_filter(
+        &self,
+        announcer: PeerId,
+        viewer: PeerId,
+    ) -> Option<impl Fn(&Route) -> bool + '_> {
         if announcer == viewer {
-            return false;
+            return None;
         }
-        let Some(route) = self.adj_in.get(&announcer).and_then(|rib| rib.get(prefix)) else {
-            return false;
-        };
-        let Some(info) = self.peers.get(&announcer) else {
-            return false;
-        };
-        if !info.export.allows(prefix, viewer) {
-            return false;
-        }
-        match self.peers.get(&viewer) {
-            Some(v) => {
-                !route.attrs.as_path.contains(v.asn) && Self::communities_allow(route, v.asn)
-            }
-            None => true,
-        }
+        let info = self.peers.get(&announcer)?;
+        let viewer_asn = self.peers.get(&viewer).map(|v| v.asn);
+        Some(move |route: &Route| {
+            info.export.allows(&route.prefix, viewer)
+                && viewer_asn.is_none_or(|asn| {
+                    !route.attrs.as_path.contains(asn) && Self::communities_allow(route, asn)
+                })
+        })
     }
 
     /// Every prefix a peer currently announces.
@@ -513,6 +515,32 @@ mod tests {
         assert!(!via_b.contains(&p("14.0.0.0/8")));
         let via_c = rs.prefixes_via(C, A);
         assert_eq!(via_c.len(), 3); // p1, p2, p4
+    }
+
+    #[test]
+    fn self_target_exports_nothing() {
+        // A clause of B's that targets B itself. This route's AS path lacks
+        // B's own ASN, so loop prevention alone would not hide it from B.
+        let mut rs = figure_1b();
+        rs.announce(B, [p("15.0.0.0/8")], attrs(&[65001], [10, 0, 0, 2]));
+        assert!(rs.prefixes_via(B, B).is_empty());
+        for prefix in rs.announced_by(B).iter() {
+            assert!(!rs.exports_to(B, prefix, B));
+        }
+        // The same routes still reach every other peer.
+        assert!(rs.prefixes_via(B, C).contains(&p("15.0.0.0/8")));
+        assert!(rs.exports_to(B, &p("15.0.0.0/8"), A));
+        // prefixes_via is exports_to over the announcer's RIB, for every pair.
+        for announcer in [A, B, C, PeerId(9)] {
+            for viewer in [A, B, C, PeerId(9)] {
+                let pointwise: PrefixSet = rs
+                    .announced_by(announcer)
+                    .into_iter()
+                    .filter(|prefix| rs.exports_to(announcer, prefix, viewer))
+                    .collect();
+                assert_eq!(rs.prefixes_via(announcer, viewer), pointwise);
+            }
+        }
     }
 
     #[test]

@@ -200,27 +200,41 @@ impl AsPath {
     pub fn asns(&self) -> Vec<Asn> {
         self.segments
             .iter()
-            .flat_map(|s| match s {
-                AsPathSegment::Sequence(seq) => seq.iter(),
-                AsPathSegment::Set(set) => set.iter(),
-            })
+            .flat_map(AsPathSegment::members)
             .copied()
             .collect()
     }
 
     /// The originating AS (last on the path), if any.
     pub fn origin_as(&self) -> Option<Asn> {
-        self.asns().last().copied()
+        self.segments
+            .iter()
+            .rev()
+            .find_map(|s| s.members().last())
+            .copied()
     }
 
     /// The neighbor AS (first on the path), if any.
     pub fn first_as(&self) -> Option<Asn> {
-        self.asns().first().copied()
+        self.segments
+            .iter()
+            .find_map(|s| s.members().first())
+            .copied()
     }
 
-    /// Does the path contain this AS (loop detection)?
+    /// Does the path contain this AS (loop detection)? The route server asks
+    /// this on every export decision, so it scans the segments in place.
     pub fn contains(&self, asn: Asn) -> bool {
-        self.asns().contains(&asn)
+        self.segments.iter().any(|s| s.members().contains(&asn))
+    }
+}
+
+impl AsPathSegment {
+    /// The segment's ASes, in order.
+    fn members(&self) -> &[Asn] {
+        match self {
+            AsPathSegment::Sequence(asns) | AsPathSegment::Set(asns) => asns,
+        }
     }
 }
 
@@ -302,6 +316,36 @@ mod tests {
         assert_eq!(p.path_len(), 3);
         assert!(p.contains(Asn(4)));
         assert_eq!(p.to_string(), "1 2 {3,4,5}");
+    }
+
+    #[test]
+    fn in_place_queries_match_the_flattened_path() {
+        let mut mixed = AsPath::sequence([1, 2]);
+        mixed.push_segment(AsPathSegment::Set(vec![Asn(3), Asn(4)]));
+        mixed.push_segment(AsPathSegment::Sequence(Vec::new()));
+        mixed.push_segment(AsPathSegment::Sequence(vec![Asn(5), Asn(2)]));
+        let mut set_first = AsPath::empty();
+        set_first.push_segment(AsPathSegment::Set(Vec::new()));
+        set_first.push_segment(AsPathSegment::Set(vec![Asn(9), Asn(7)]));
+        set_first.push_segment(AsPathSegment::Sequence(vec![Asn(8)]));
+        set_first.push_segment(AsPathSegment::Set(Vec::new()));
+        let mut only_empty_segments = AsPath::empty();
+        only_empty_segments.push_segment(AsPathSegment::Sequence(Vec::new()));
+        only_empty_segments.push_segment(AsPathSegment::Set(Vec::new()));
+        for path in [
+            AsPath::empty(),
+            AsPath::sequence([42]),
+            mixed,
+            set_first,
+            only_empty_segments,
+        ] {
+            let flat = path.asns();
+            assert_eq!(path.origin_as(), flat.last().copied(), "{path}");
+            assert_eq!(path.first_as(), flat.first().copied(), "{path}");
+            for asn in (0..=10).map(Asn) {
+                assert_eq!(path.contains(asn), flat.contains(&asn), "{path} {asn}");
+            }
+        }
     }
 
     #[test]

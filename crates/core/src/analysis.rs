@@ -11,7 +11,7 @@
 use sdx_analyze::{AnalysisInput, ClauseDest, ClauseInfo, ParticipantInfo};
 use sdx_policy::{compile_predicate, Match, Predicate};
 
-use crate::compile::{Compilation, CompileInput};
+use crate::compile::{effective_set, Compilation, CompileInput};
 use crate::participant::VPORT_BASE;
 use crate::{Clause, Dest, ParticipantId};
 
@@ -70,20 +70,11 @@ fn clause_info(input: &CompileInput<'_>, author: ParticipantId, clause: &Clause)
         Dest::Drop => ClauseDest::Drop,
         Dest::BgpDefault => ClauseDest::BgpDefault,
     };
-    // The BGP-safety precomputation, mirroring pass 1 of the compiler: a
-    // filtered clause towards a participant is effective only on prefixes
-    // the target exports to the author, intersected with the clause scope.
-    let exports_match = match clause.dest {
-        Dest::Participant(to) if !clause.unfiltered => {
-            let via = input.route_server.prefixes_via(to.peer(), author.peer());
-            let effective = match &clause.dst_prefixes {
-                Some(scope) => scope.intersection(&via),
-                None => via,
-            };
-            Some(!effective.is_empty())
-        }
-        _ => None,
-    };
+    // The BGP-safety precomputation is pass 1 of the compiler, asked of the
+    // live route server: a filtered clause towards a participant is
+    // effective only on its effective set. (The compile-time policy sets go
+    // stale under churn, and the installed-fabric audit runs after churn.)
+    let exports_match = effective_set(input, author, clause).map(|set| !set.is_empty());
     ClauseInfo {
         matches: clause_matches(&clause.match_),
         dest,

@@ -774,29 +774,19 @@ fn validate(input: &CompileInput<'_>) -> Result<(), CompileError> {
 /// effective prefix set (None for unfiltered/drop clauses).
 pub type ClauseSetIndex = BTreeMap<(ParticipantId, usize), Option<usize>>;
 
-/// Pass 1: for every outbound clause towards a participant, the effective
-/// prefix set = (clause destination scope ∩ prefixes the target exports to
-/// the author). Also adds, per remote participant with inbound clauses, the
-/// set of prefixes it announces, so that traffic towards it is tagged and
-/// default-forwarded to its virtual switch.
+/// Pass 1: for every outbound clause towards a participant, its
+/// [`effective_set`]. Also adds, per remote participant with inbound
+/// clauses, the set of prefixes it announces, so that traffic towards it is
+/// tagged and default-forwarded to its virtual switch.
 fn collect_policy_sets(input: &CompileInput<'_>) -> (Vec<PrefixSet>, ClauseSetIndex) {
     let mut sets: Vec<PrefixSet> = Vec::new();
     let mut clause_sets = BTreeMap::new();
     for (id, policy) in input.policies {
         for (ci, clause) in policy.outbound.iter().enumerate() {
-            let set_id = match clause.dest {
-                Dest::Participant(to) if !clause.unfiltered => {
-                    let via = input.route_server.prefixes_via(to.peer(), id.peer());
-                    let eff = match &clause.dst_prefixes {
-                        Some(scope) => scope.intersection(&via),
-                        None => via,
-                    };
-                    let sid = sets.len();
-                    sets.push(eff);
-                    Some(sid)
-                }
-                _ => None,
-            };
+            let set_id = effective_set(input, *id, clause).map(|eff| {
+                sets.push(eff);
+                sets.len() - 1
+            });
             clause_sets.insert((*id, ci), set_id);
         }
     }
@@ -815,6 +805,39 @@ fn collect_policy_sets(input: &CompileInput<'_>) -> (Vec<PrefixSet>, ClauseSetIn
         }
     }
     (sets, clause_sets)
+}
+
+/// A clause's effective prefix set (§4.2 pass 1): for a filtered clause
+/// towards a participant, the prefixes of its destination scope that the
+/// target exports to the author, or everything the target exports to the
+/// author when the clause is unscoped. `None` for every other clause.
+///
+/// A scoped clause asks the route server's point predicate
+/// [`RouteServer::exports_to`] once per scoped prefix, the same test the
+/// fast path's [`stage1_rules_for_prefix`] makes, so pass 1 costs the size
+/// of the scopes rather than a walk of the target's whole Adj-RIB-In per
+/// clause. The static analyzer asks this too, against the live route
+/// server.
+pub(crate) fn effective_set(
+    input: &CompileInput<'_>,
+    author: ParticipantId,
+    clause: &Clause,
+) -> Option<PrefixSet> {
+    let Dest::Participant(to) = clause.dest else {
+        return None;
+    };
+    if clause.unfiltered {
+        return None;
+    }
+    let rs = input.route_server;
+    Some(match &clause.dst_prefixes {
+        Some(scope) => scope
+            .iter()
+            .filter(|prefix| rs.exports_to(to.peer(), prefix, author.peer()))
+            .copied()
+            .collect(),
+        None => rs.prefixes_via(to.peer(), author.peer()),
+    })
 }
 
 /// The pass-2 default-forwarding view of one prefix.
@@ -879,6 +902,14 @@ fn build_stage1(
             (!policy.outbound.is_empty()).then_some((*id, policy, participant))
         })
         .collect();
+    // The groups each policy set spans, in group order: every clause's
+    // VMAC filter reads its row instead of scanning all groups.
+    let mut set_groups: Vec<Vec<usize>> = vec![Vec::new(); policy_sets.len()];
+    for (gid, group) in groups.iter().enumerate() {
+        for &set_id in &group.policy_sets {
+            set_groups[set_id].push(gid);
+        }
+    }
     let block = |(id, policy, participant): (ParticipantId, &ParticipantPolicy, &Participant)| {
         stage1_block(
             input,
@@ -888,7 +919,7 @@ fn build_stage1(
             participant,
             policy_sets,
             clause_sets,
-            groups,
+            &set_groups,
             vnh,
         )
     };
@@ -953,7 +984,7 @@ fn stage1_block(
     participant: &Participant,
     policy_sets: &[PrefixSet],
     clause_sets: &BTreeMap<(ParticipantId, usize), Option<usize>>,
-    groups: &[PrefixGroup],
+    set_groups: &[Vec<usize>],
     vnh: &[(Ipv4Addr, MacAddr)],
 ) -> Vec<Rule> {
     let mut rules = Vec::new();
@@ -972,7 +1003,7 @@ fn stage1_block(
                 input.options.use_vnh,
                 set_id,
                 policy_sets,
-                groups,
+                set_groups,
                 vnh,
             ));
         } else if let Some(scope) = &clause.dst_prefixes {
@@ -991,21 +1022,18 @@ fn stage1_block(
 }
 
 /// The BGP-consistency filter for a clause whose effective prefix set is
-/// `policy_sets[set_id]`: either VMAC-tag membership (VNH mode) or a raw
-/// destination-prefix filter (naive mode).
+/// `policy_sets[set_id]`: either VMAC-tag membership of the groups
+/// `set_groups[set_id]` (VNH mode) or a raw destination-prefix filter
+/// (naive mode).
 fn reachability_filter(
     use_vnh: bool,
     set_id: usize,
     policy_sets: &[PrefixSet],
-    groups: &[PrefixGroup],
+    set_groups: &[Vec<usize>],
     vnh: &[(Ipv4Addr, MacAddr)],
 ) -> Predicate {
     if use_vnh {
-        let vmacs = groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.policy_sets.binary_search(&set_id).is_ok())
-            .map(|(gid, _)| vnh[gid].1.to_u64());
+        let vmacs = set_groups[set_id].iter().map(|&gid| vnh[gid].1.to_u64());
         Predicate::in_set(Field::DstMac, vmacs)
     } else {
         Predicate::in_prefixes(Field::DstIp, policy_sets[set_id].clone())

@@ -6,10 +6,14 @@ use crate::Prefix;
 /// values, supporting exact lookup and longest-prefix match.
 ///
 /// Border routers in the SDX data plane use this as their FIB (stage one of
-/// the multi-stage FIB of §4.2), and the route server uses it to index its
-/// RIBs. One bit per level keeps the implementation obviously correct; at
-/// full-table scale (~500k prefixes) it is still comfortably fast for the
-/// paper's experiments.
+/// the multi-stage FIB of §4.2); the route server uses it for its
+/// longest-match index over announced prefixes, the RPKI validator to find
+/// the ROAs covering a prefix, and the switch's tuple-space index to walk a
+/// packet's containing prefixes. Structures that only need exact lookup and
+/// ordered iteration, such as the Adj-RIB-In, use an ordered map instead:
+/// [`iter`](Self::iter) copies every entry out. One bit per level keeps the
+/// implementation obviously correct; at full-table scale (~500k prefixes)
+/// it is still comfortably fast for the paper's experiments.
 #[derive(Debug, Clone)]
 pub struct PrefixTrie<V> {
     root: Node<V>,
