@@ -125,18 +125,24 @@ if target/release/sdx-lint --quiet --verify scenarios/figure1.sdx scenarios/lint
 fi
 
 echo "== update-plan smoke (sdx-lint --plan over scenarios/plan-*.sdx)"
-# Adversarial churn fixtures: the naive rule-delta ordering demonstrably
+# Adversarial update fixtures: the naive rule-delta ordering demonstrably
 # traverses a transient blackhole / isolation leak, so --plan must flag
-# them (exit 1) with a plan-naive-* witness AND synthesize a safe
-# schedule (plan-ordered / plan-two-phase) for the same delta.
+# them (exit 1) with the fixture's own plan-naive-* finding and a witness
+# AND synthesize a safe schedule (plan-ordered / plan-two-phase) for the
+# same delta.
 for s in scenarios/plan-*.sdx; do
+    case "$s" in
+        */plan-leak.sdx) want=plan-naive-leak ;;
+        */plan-blackhole.sdx) want=plan-naive-blackhole ;;
+        *) echo "ci: $s has no expected plan finding" >&2; exit 1 ;;
+    esac
     if out=$(target/release/sdx-lint --quiet --plan "$s"); then
         echo "ci: $s naive ordering unexpectedly safe" >&2; exit 1
     elif [ $? -ne 1 ]; then
         echo "ci: $s plan lint failed to run" >&2; exit 1
     fi
-    echo "$out" | grep -q 'plan-naive-' || {
-        echo "ci: $s missing naive-ordering evidence" >&2; exit 1
+    echo "$out" | grep -q "$want" || {
+        echo "ci: $s missing $want evidence" >&2; exit 1
     }
     echo "$out" | grep -q 'witness:' || {
         echo "ci: $s plan violation lacks a witness packet" >&2; exit 1

@@ -129,18 +129,17 @@ fn confirm(
     old_tag: u64,
     new_tag: u64,
 ) -> Option<(String, String)> {
-    let w_old = witness.clone().with(Field::DstMac, old_tag);
-    let w_new = witness.clone().with(Field::DstMac, new_tag);
-    let out_old: std::collections::BTreeSet<Packet> = old
-        .evaluate(&w_old)
-        .into_iter()
-        .map(|p| normalize(p, old_tag))
-        .collect();
-    let out_new: std::collections::BTreeSet<Packet> = new
-        .evaluate(&w_new)
-        .into_iter()
-        .map(|p| normalize(p, new_tag))
-        .collect();
+    let out_old = old.evaluate(&witness.clone().with(Field::DstMac, old_tag));
+    let out_new = new.evaluate(&witness.clone().with(Field::DstMac, new_tag));
+    // Identical frames are equal whatever the tags: a real router MAC used
+    // as one side's tag comes out rewritten to itself, not as an echo.
+    if out_old == out_new {
+        return None;
+    }
+    let out_old: std::collections::BTreeSet<Packet> =
+        out_old.into_iter().map(|p| normalize(p, old_tag)).collect();
+    let out_new: std::collections::BTreeSet<Packet> =
+        out_new.into_iter().map(|p| normalize(p, new_tag)).collect();
     if out_old == out_new {
         return None;
     }

@@ -40,6 +40,14 @@ pub enum RsEvent {
     PeerDown(PeerId),
 }
 
+/// The viewer side of the export test, resolved once per query: the peer
+/// and, when it is a known peer, its ASN.
+#[derive(Debug, Clone, Copy)]
+struct Viewer {
+    peer: PeerId,
+    asn: Option<Asn>,
+}
+
 /// The route server state.
 #[derive(Debug, Default)]
 pub struct RouteServer {
@@ -188,30 +196,15 @@ impl RouteServer {
         true
     }
 
-    /// The candidates for `prefix` visible to `for_peer`: announced by
-    /// another peer, exported to `for_peer` (per export policy *and* the
-    /// route's communities), and free of AS-path loops.
+    /// The candidates for `prefix` visible to `for_peer`: the routes of
+    /// other peers that pass the [`exports`](Self::exports) test.
     fn visible_candidates(&self, prefix: &Prefix, for_peer: PeerId) -> Vec<Candidate> {
-        let for_asn = self.peers.get(&for_peer).map(|p| p.asn);
+        let viewer = self.viewer(for_peer);
         self.candidates
             .candidates(prefix)
-            .filter(|(peer, _)| **peer != for_peer)
             .filter_map(|(peer, route)| {
-                let info = self.peers.get(peer)?;
-                if !info.export.allows(prefix, for_peer) {
-                    return None;
-                }
-                if let Some(asn) = for_asn {
-                    // Loop prevention: never give a peer a route through
-                    // itself.
-                    if route.attrs.as_path.contains(asn) {
-                        return None;
-                    }
-                    if !Self::communities_allow(route, asn) {
-                        return None;
-                    }
-                }
-                Some(Candidate {
+                let info = self.exporter(*peer, viewer)?;
+                Self::exports(info, route, viewer).then(|| Candidate {
                     peer: *peer,
                     router_id: info.router_id,
                     route: route.clone(),
@@ -243,30 +236,22 @@ impl RouteServer {
     /// `reachable_via` calls rebuild a `Candidate` vector (attrs clone per
     /// entry) for every participant on every update.
     pub fn advert_map(&self, prefix: &Prefix) -> BTreeMap<PeerId, BTreeSet<PeerId>> {
-        let candidates: Vec<(PeerId, &Route)> = self
-            .candidates
-            .candidates(prefix)
-            .filter(|(peer, _)| self.peers.contains_key(peer))
-            .map(|(peer, route)| (*peer, route))
-            .collect();
+        let candidates: Vec<(&PeerId, &Route)> = self.candidates.candidates(prefix).collect();
         let mut out = BTreeMap::new();
-        for (&viewer, info) in &self.peers {
-            let mut via = BTreeSet::new();
-            for (announcer, route) in &candidates {
-                if *announcer == viewer {
-                    continue;
-                }
-                let exporter = &self.peers[announcer];
-                if !exporter.export.allows(prefix, viewer)
-                    || route.attrs.as_path.contains(info.asn)
-                    || !Self::communities_allow(route, info.asn)
-                {
-                    continue;
-                }
-                via.insert(*announcer);
-            }
+        for (&peer, info) in &self.peers {
+            let viewer = Viewer {
+                peer,
+                asn: Some(info.asn),
+            };
+            let via: BTreeSet<PeerId> = candidates
+                .iter()
+                .filter_map(|&(announcer, route)| {
+                    let info = self.exporter(*announcer, viewer)?;
+                    Self::exports(info, route, viewer).then_some(*announcer)
+                })
+                .collect();
             if !via.is_empty() {
-                out.insert(viewer, via);
+                out.insert(peer, via);
             }
         }
         out
@@ -299,28 +284,47 @@ impl RouteServer {
 
     /// The export predicate behind both [`prefixes_via`](Self::prefixes_via)
     /// and [`exports_to`](Self::exports_to), resolved once per (announcer,
-    /// viewer) pair. `None` when the announcer exports nothing to the viewer
-    /// at all: it is the viewer itself, as in
-    /// [`visible_candidates`](Self::visible_candidates), or unknown. Otherwise
-    /// a test of one of the announcer's routes: its export policy must allow
-    /// the prefix to the viewer and, when the viewer is a known peer, the AS
-    /// path must avoid the viewer's ASN and the communities must allow it.
+    /// viewer) pair: [`exports`](Self::exports) over the announcer's routes.
+    /// `None` when the announcer exports nothing to the viewer at all (see
+    /// [`exporter`](Self::exporter)).
     fn export_filter(
         &self,
         announcer: PeerId,
         viewer: PeerId,
     ) -> Option<impl Fn(&Route) -> bool + '_> {
-        if announcer == viewer {
+        let viewer = self.viewer(viewer);
+        let info = self.exporter(announcer, viewer)?;
+        Some(move |route: &Route| Self::exports(info, route, viewer))
+    }
+
+    /// Resolve the viewer side of the export test once per query.
+    fn viewer(&self, peer: PeerId) -> Viewer {
+        Viewer {
+            peer,
+            asn: self.peers.get(&peer).map(|info| info.asn),
+        }
+    }
+
+    /// The announcer side of the export test: its peer info, or `None` when
+    /// it may export nothing to `viewer` — it is the viewer itself, or
+    /// unknown.
+    fn exporter(&self, announcer: PeerId, viewer: Viewer) -> Option<&PeerInfo> {
+        if announcer == viewer.peer {
             return None;
         }
-        let info = self.peers.get(&announcer)?;
-        let viewer_asn = self.peers.get(&viewer).map(|v| v.asn);
-        Some(move |route: &Route| {
-            info.export.allows(&route.prefix, viewer)
-                && viewer_asn.is_none_or(|asn| {
-                    !route.attrs.as_path.contains(asn) && Self::communities_allow(route, asn)
-                })
-        })
+        self.peers.get(&announcer)
+    }
+
+    /// The one export test, behind every best route, every advertisement
+    /// map and every policy prefix set: the exporter's export policy must
+    /// allow the route's prefix to the viewer and, when the viewer is a
+    /// known peer, the AS path must avoid the viewer's ASN and the
+    /// communities must allow it.
+    fn exports(exporter: &PeerInfo, route: &Route, viewer: Viewer) -> bool {
+        exporter.export.allows(&route.prefix, viewer.peer)
+            && viewer.asn.is_none_or(|asn| {
+                !route.attrs.as_path.contains(asn) && Self::communities_allow(route, asn)
+            })
     }
 
     /// Every prefix a peer currently announces.

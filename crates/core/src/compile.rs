@@ -29,7 +29,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use sdx_analyze::AnalysisMode;
-use sdx_bgp::RouteServer;
+use sdx_bgp::{PeerId, RouteServer};
 use sdx_ip::{MacAddr, Prefix, PrefixSet};
 use sdx_policy::{
     sequential_compose_traced_par, Action, Classifier, Field, Match, Pattern, Predicate, Rule,
@@ -661,79 +661,30 @@ pub fn compile(
 }
 
 /// The §4.3.2 fast path's sender-stage fragment for a single prefix that
-/// just changed: every rule that would mention the prefix's *fresh* VMAC —
-/// custom outbound clauses whose effective set contains the prefix, plus its
-/// default-forwarding rules. Bypasses VNH optimality entirely, exactly as
-/// the paper describes ("it restricts compilation to the parts of the policy
-/// related to p").
+/// just changed: the full compile's sender stage for that prefix alone,
+/// under its *fresh* VMAC. Each author's clause block keeps the filtered
+/// clauses whose effective set holds the prefix ([`in_effective_set`]) and
+/// pins every drop and unfiltered clause to the VMAC; the prefix's
+/// default-forwarding rules follow. Bypasses VNH optimality entirely,
+/// exactly as the paper describes ("it restricts compilation to the parts
+/// of the policy related to p").
 pub fn stage1_rules_for_prefix(
     input: &CompileInput<'_>,
     prefix: &Prefix,
     vmac: MacAddr,
 ) -> Vec<Rule> {
-    let rs = input.route_server;
-    let vmac_pred = Predicate::test(Field::DstMac, vmac);
     let pool = SharedPredicatePool::new();
-    let mut rules = Vec::new();
-
-    for (id, policy) in input.policies {
-        let Some(participant) = input.participants.get(id) else {
-            continue;
-        };
-        if policy.outbound.is_empty() {
-            continue;
-        }
-        let ports_pred =
-            Predicate::in_set(Field::Port, participant.port_numbers().map(|p| p as u64));
-        for clause in &policy.outbound {
-            let Dest::Participant(to) = clause.dest else {
-                continue;
-            };
-            if clause.unfiltered {
-                continue; // not destination-dependent
-            }
-            let in_scope = clause
-                .dst_prefixes
-                .as_ref()
-                .map(|s| s.contains(prefix))
-                .unwrap_or(true);
-            if !in_scope || !rs.exports_to(to.peer(), prefix, id.peer()) {
-                continue;
-            }
-            let pred = clause
-                .match_
-                .clone()
-                .and(ports_pred.clone())
-                .and(vmac_pred.clone());
-            let action = vec![rewrites_action(&clause.rewrites).with(Field::Port, to.vport())];
-            rules.extend(clause_rules(&pool, &pred, action));
-        }
-    }
-
-    // Default forwarding for the fresh VMAC.
-    let view = default_view(rs, prefix);
-    for (viewer, peer) in &view.exceptions {
-        let viewer_id = ParticipantId::from(*viewer);
-        let Some(viewer_cfg) = input.participants.get(&viewer_id) else {
-            continue;
-        };
-        for port in viewer_cfg.port_numbers() {
-            let m = Match::on(Field::Port, Pattern::Exact(port as u64))
-                .and(Field::DstMac, Pattern::Exact(vmac.to_u64()))
-                .expect("distinct fields");
-            let actions = match peer {
-                Some(p) => vec![Action::set(Field::Port, ParticipantId::from(*p).vport())],
-                None => Vec::new(),
-            };
-            rules.push(Rule { match_: m, actions });
-        }
-    }
-    if let Some(peer) = view.global {
-        rules.push(Rule {
-            match_: Match::on(Field::DstMac, Pattern::Exact(vmac.to_u64())),
-            actions: vec![Action::set(Field::Port, ParticipantId::from(peer).vport())],
-        });
-    }
+    let tag = Predicate::test(Field::DstMac, vmac);
+    let mut rules: Vec<Rule> = authors(input)
+        .flat_map(|(id, policy, participant)| {
+            clause_block(&pool, policy, participant, Some(&tag), |_, clause| {
+                in_effective_set(input, id, clause, prefix).then(|| tag.clone())
+            })
+        })
+        .collect();
+    let view = default_view(input.route_server, prefix);
+    rules.extend(exception_rules(input.participants, vmac, &view.exceptions));
+    rules.push(default_rule(vmac, view.global));
     rules
 }
 
@@ -813,12 +764,11 @@ fn collect_policy_sets(input: &CompileInput<'_>) -> (Vec<PrefixSet>, ClauseSetIn
 /// author when the clause is unscoped. `None` for every other clause.
 ///
 /// A scoped clause asks the route server's point predicate
-/// [`RouteServer::exports_to`] once per scoped prefix, the same test the
-/// fast path's [`stage1_rules_for_prefix`] makes, so pass 1 costs the size
-/// of the scopes rather than a walk of the target's whole Adj-RIB-In per
-/// clause. The static analyzer asks this too, against the live route
-/// server.
-pub(crate) fn effective_set(
+/// [`RouteServer::exports_to`] once per scoped prefix, so pass 1 costs the
+/// size of the scopes rather than a walk of the target's whole Adj-RIB-In
+/// per clause. The static analyzer asks this too, against the live route
+/// server; the fast path asks [`in_effective_set`], its pointwise form.
+pub fn effective_set(
     input: &CompileInput<'_>,
     author: ParticipantId,
     clause: &Clause,
@@ -838,6 +788,28 @@ pub(crate) fn effective_set(
             .collect(),
         None => rs.prefixes_via(to.peer(), author.peer()),
     })
+}
+
+/// Is `prefix` in the clause's [`effective_set`]? `false` for every clause
+/// that has none. The fast path's fragment keeps a filtered clause exactly
+/// when this holds.
+pub fn in_effective_set(
+    input: &CompileInput<'_>,
+    author: ParticipantId,
+    clause: &Clause,
+    prefix: &Prefix,
+) -> bool {
+    let Dest::Participant(to) = clause.dest else {
+        return false;
+    };
+    !clause.unfiltered
+        && clause
+            .dst_prefixes
+            .as_ref()
+            .is_none_or(|scope| scope.contains(prefix))
+        && input
+            .route_server
+            .exports_to(to.peer(), prefix, author.peer())
 }
 
 /// The pass-2 default-forwarding view of one prefix.
@@ -889,19 +861,12 @@ fn build_stage1(
     pool: &SharedPredicatePool,
     threads: usize,
     policy_sets: &[PrefixSet],
-    clause_sets: &BTreeMap<(ParticipantId, usize), Option<usize>>,
+    clause_sets: &ClauseSetIndex,
     groups: &[PrefixGroup],
     vnh: &[(Ipv4Addr, MacAddr)],
 ) -> Result<Classifier, CompileError> {
     // Custom outbound clauses, isolated to the author's physical ports.
-    let authors: Vec<(ParticipantId, &ParticipantPolicy, &Participant)> = input
-        .policies
-        .iter()
-        .filter_map(|(id, policy)| {
-            let participant = input.participants.get(id)?;
-            (!policy.outbound.is_empty()).then_some((*id, policy, participant))
-        })
-        .collect();
+    let authors: Vec<_> = authors(input).collect();
     // The groups each policy set spans, in group order: every clause's
     // VMAC filter reads its row instead of scanning all groups.
     let mut set_groups: Vec<Vec<usize>> = vec![Vec::new(); policy_sets.len()];
@@ -911,17 +876,16 @@ fn build_stage1(
         }
     }
     let block = |(id, policy, participant): (ParticipantId, &ParticipantPolicy, &Participant)| {
-        stage1_block(
-            input,
-            pool,
-            id,
-            policy,
-            participant,
-            policy_sets,
-            clause_sets,
-            &set_groups,
-            vnh,
-        )
+        clause_block(pool, policy, participant, None, |ci, _| {
+            let set_id = clause_sets.get(&(id, ci)).copied().flatten()?;
+            Some(reachability_filter(
+                input.options.use_vnh,
+                set_id,
+                policy_sets,
+                &set_groups,
+                vnh,
+            ))
+        })
     };
     let blocks: Vec<Vec<Rule>> = if threads <= 1 || authors.len() < 2 {
         authors.into_iter().map(block).collect()
@@ -934,32 +898,14 @@ fn build_stage1(
     // Exception overrides first (port-scoped), then the global VMAC rules,
     // then real-router-MAC forwarding.
     for (gid, group) in groups.iter().enumerate() {
-        let vmac = vnh[gid].1;
-        for (viewer, peer) in &group.exceptions {
-            let viewer_id = ParticipantId::from(*viewer);
-            let Some(viewer_cfg) = input.participants.get(&viewer_id) else {
-                continue;
-            };
-            for port in viewer_cfg.port_numbers() {
-                let m = Match::on(Field::Port, Pattern::Exact(port as u64))
-                    .and(Field::DstMac, Pattern::Exact(vmac.to_u64()))
-                    .expect("distinct fields");
-                let actions = match peer {
-                    Some(p) => vec![Action::set(Field::Port, ParticipantId::from(*p).vport())],
-                    None => Vec::new(),
-                };
-                rules.push(Rule { match_: m, actions });
-            }
-        }
+        rules.extend(exception_rules(
+            input.participants,
+            vnh[gid].1,
+            &group.exceptions,
+        ));
     }
     for (gid, group) in groups.iter().enumerate() {
-        let vmac = vnh[gid].1;
-        let m = Match::on(Field::DstMac, Pattern::Exact(vmac.to_u64()));
-        let actions = match group.default_peer {
-            Some(p) => vec![Action::set(Field::Port, ParticipantId::from(p).vport())],
-            None => Vec::new(),
-        };
-        rules.push(Rule { match_: m, actions });
+        rules.push(default_rule(vnh[gid].1, group.default_peer));
     }
     for (id, participant) in input.participants {
         for port in &participant.ports {
@@ -973,52 +919,95 @@ fn build_stage1(
     Ok(Classifier::new(rules))
 }
 
-/// One participant's sender-stage clause block (transformations 1 and 2
-/// applied to each of its outbound clauses, in clause order).
-#[allow(clippy::too_many_arguments)]
-fn stage1_block(
-    input: &CompileInput<'_>,
+/// The participants with outbound clauses, in participant order: the
+/// authors of the sender stage's clause blocks.
+fn authors<'a>(
+    input: &CompileInput<'a>,
+) -> impl Iterator<Item = (ParticipantId, &'a ParticipantPolicy, &'a Participant)> {
+    let participants = input.participants;
+    input.policies.iter().filter_map(move |(id, policy)| {
+        let participant = participants.get(id)?;
+        (!policy.outbound.is_empty()).then_some((*id, policy, participant))
+    })
+}
+
+/// One author's sender-stage clause block: transformations 1 and 2 applied
+/// to each outbound clause, in clause order. `filter` gives a filtered
+/// clause's BGP-consistency predicate from its index, or `None` to leave
+/// the clause out; `pin`, when given, is added to every drop and
+/// unfiltered clause.
+fn clause_block(
     pool: &SharedPredicatePool,
-    id: ParticipantId,
     policy: &ParticipantPolicy,
     participant: &Participant,
-    policy_sets: &[PrefixSet],
-    clause_sets: &BTreeMap<(ParticipantId, usize), Option<usize>>,
-    set_groups: &[Vec<usize>],
-    vnh: &[(Ipv4Addr, MacAddr)],
+    pin: Option<&Predicate>,
+    filter: impl Fn(usize, &Clause) -> Option<Predicate>,
 ) -> Vec<Rule> {
     let mut rules = Vec::new();
     let ports_pred = Predicate::in_set(Field::Port, participant.port_numbers().map(|p| p as u64));
     for (ci, clause) in policy.outbound.iter().enumerate() {
-        let mut pred = clause.match_.clone().and(ports_pred.clone());
-        // Transformation 2: BGP consistency.
-        let filtered = matches!(clause.dest, Dest::Participant(_)) && !clause.unfiltered;
-        if filtered {
-            let set_id = clause_sets
-                .get(&(id, ci))
-                .copied()
-                .flatten()
-                .expect("filtered participant clause has a policy set");
-            pred = pred.and(reachability_filter(
-                input.options.use_vnh,
-                set_id,
-                policy_sets,
-                set_groups,
-                vnh,
-            ));
-        } else if let Some(scope) = &clause.dst_prefixes {
-            pred = pred.and(Predicate::in_prefixes(Field::DstIp, scope.clone()));
-        }
         let action = match clause.dest {
             Dest::Participant(to) => {
                 vec![rewrites_action(&clause.rewrites).with(Field::Port, to.vport())]
             }
             Dest::Drop => Vec::new(),
-            _ => unreachable!("validated"),
+            // `validate` admits no other outbound destination.
+            _ => continue,
         };
+        let mut pred = clause.match_.clone().and(ports_pred.clone());
+        // Transformation 2: BGP consistency.
+        let filtered = matches!(clause.dest, Dest::Participant(_)) && !clause.unfiltered;
+        if filtered {
+            let Some(reachable) = filter(ci, clause) else {
+                continue;
+            };
+            pred = pred.and(reachable);
+        } else {
+            if let Some(scope) = &clause.dst_prefixes {
+                pred = pred.and(Predicate::in_prefixes(Field::DstIp, scope.clone()));
+            }
+            if let Some(pin) = pin {
+                pred = pred.and(pin.clone());
+            }
+        }
         rules.extend(clause_rules(pool, &pred, action));
     }
     rules
+}
+
+/// Default forwarding for one VMAC, first part: a port-scoped override for
+/// each viewer whose best route differs from the global one.
+fn exception_rules<'a>(
+    participants: &'a BTreeMap<ParticipantId, Participant>,
+    vmac: MacAddr,
+    exceptions: &'a BTreeMap<PeerId, Option<PeerId>>,
+) -> impl Iterator<Item = Rule> + 'a {
+    exceptions.iter().flat_map(move |(viewer, peer)| {
+        let ports = participants
+            .get(&ParticipantId::from(*viewer))
+            .into_iter()
+            .flat_map(|viewer| viewer.port_numbers());
+        ports.map(move |port| Rule {
+            match_: Match::on(Field::Port, Pattern::Exact(port as u64))
+                .and(Field::DstMac, Pattern::Exact(vmac.to_u64()))
+                .expect("distinct fields"),
+            actions: forward_to(*peer),
+        })
+    })
+}
+
+/// Default forwarding for one VMAC, second part: its default next hop.
+fn default_rule(vmac: MacAddr, peer: Option<PeerId>) -> Rule {
+    Rule {
+        match_: Match::on(Field::DstMac, Pattern::Exact(vmac.to_u64())),
+        actions: forward_to(peer),
+    }
+}
+
+/// Forward to a peer's virtual port; drop when there is no peer.
+fn forward_to(peer: Option<PeerId>) -> Vec<Action> {
+    peer.map(|p| vec![Action::set(Field::Port, ParticipantId::from(p).vport())])
+        .unwrap_or_default()
 }
 
 /// The BGP-consistency filter for a clause whose effective prefix set is

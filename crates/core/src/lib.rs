@@ -37,7 +37,6 @@ mod clause;
 pub mod compile;
 pub mod control;
 pub mod fec;
-pub mod multiswitch;
 mod participant;
 mod runtime;
 mod sim;
@@ -50,7 +49,6 @@ pub use compile::{
 };
 pub use control::{ControlPlane, ROUTE_SERVER_ASN};
 pub use fec::{minimum_disjoint_subsets, minimum_disjoint_subsets_par, DefaultView, PrefixGroup};
-pub use multiswitch::{distribute, FabricLayout, LayoutError, MultiSwitchFabric, SwitchId};
 pub use participant::{is_vport, Participant, ParticipantId, PortConfig, VPORT_BASE};
 pub use runtime::{DeltaInstall, DeltaRecord, IncrementalStats, Overlay, SdxRuntime};
 pub use sdx_analyze::{

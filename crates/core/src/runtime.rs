@@ -6,12 +6,12 @@
 //!
 //! * the **fast stage**, [`SdxRuntime::apply_update`] (one path with
 //!   [`SdxRuntime::apply_update_delta`]): re-home every touched prefix onto
-//!   a *fresh* VNH, compile only the rules mentioning its VMAC, and swap
-//!   them in make-before-break — the new fragment is installed directly
-//!   above the table's live priority ceiling, then the prefix's previous
-//!   fragment is retired by cookie. With [`CompileOptions::delta_check`]
-//!   active, the incremental verifier certifies each rule-level delta
-//!   before a single rule moves.
+//!   a *fresh* VNH, compile the sender stage for that prefix alone under
+//!   its VMAC, and swap it in make-before-break — the new fragment is
+//!   installed directly above the table's live priority ceiling, then the
+//!   prefix's previous fragment is retired by cookie. With
+//!   [`CompileOptions::delta_check`] active, the incremental verifier
+//!   certifies each rule-level delta before a single rule moves.
 //! * the **background stage**, [`SdxRuntime::reoptimize`]: the full
 //!   [`SdxRuntime::compile`] pipeline — recompute FECs and VNHs, rebuild
 //!   the fabric table (which resets the priority ceiling), re-bind ARP, and
@@ -110,7 +110,14 @@ pub struct IncrementalStats {
 #[derive(Debug)]
 pub struct SdxRuntime {
     participants: BTreeMap<ParticipantId, Participant>,
+    /// The policies in force: those of the last successful compile.
     policies: BTreeMap<ParticipantId, ParticipantPolicy>,
+    /// Policies set since then, applied by the next successful compile.
+    /// While a compile runs, each slot holds the policy it replaced (`None`:
+    /// there was none), so a failed compile swaps them back.
+    staged: BTreeMap<ParticipantId, Option<ParticipantPolicy>>,
+    /// Memo versions: bumped on every policy or registration change, never
+    /// reset, so a cached receiver block is never served for other inputs.
     policy_versions: BTreeMap<ParticipantId, u64>,
     route_server: RouteServer,
     options: CompileOptions,
@@ -190,6 +197,7 @@ impl SdxRuntime {
         SdxRuntime {
             participants: BTreeMap::new(),
             policies: BTreeMap::new(),
+            staged: BTreeMap::new(),
             policy_versions: BTreeMap::new(),
             route_server: RouteServer::new(),
             options,
@@ -255,8 +263,12 @@ impl SdxRuntime {
             self.switch.master_mut().add_port(port.port);
             self.arp.bind(port.ip, port.mac);
         }
-        self.policy_versions.insert(participant.id, 0);
+        self.bump_version(participant.id);
         self.participants.insert(participant.id, participant);
+    }
+
+    fn bump_version(&mut self, id: ParticipantId) {
+        *self.policy_versions.entry(id).or_insert(0) += 1;
     }
 
     /// Set a participant's export policy on the route server.
@@ -264,11 +276,13 @@ impl SdxRuntime {
         self.route_server.set_export_policy(id.peer(), export);
     }
 
-    /// Install (replace) a participant's SDX policy. Takes effect at the
-    /// next [`compile`](Self::compile).
+    /// Stage (replace) a participant's SDX policy. It takes effect at the
+    /// next successful [`compile`](Self::compile); until then the fast
+    /// path keeps enforcing the policy in force, and a compile that fails
+    /// leaves it in force and this one staged.
     pub fn set_policy(&mut self, id: ParticipantId, policy: ParticipantPolicy) {
-        *self.policy_versions.entry(id).or_insert(0) += 1;
-        self.policies.insert(id, policy);
+        self.bump_version(id);
+        self.staged.insert(id, Some(policy));
     }
 
     /// The registered participants.
@@ -367,7 +381,10 @@ impl SdxRuntime {
 
     /// Run the full compilation pipeline and install the result: fabric
     /// rules, ARP bindings for every VNH, and (conceptually) refreshed
-    /// advertisements. Clears any fast-path overlays.
+    /// advertisements. Clears any fast-path overlays. The staged policies
+    /// (see [`set_policy`](Self::set_policy)) come into force here; when
+    /// the compile fails they stay staged, and the policies, tables and VNH
+    /// pool in force stay as they were.
     ///
     /// With [`CompileOptions::plan`] active and tables already installed,
     /// the install happens as a *verified update plan*: the rule-level
@@ -377,6 +394,28 @@ impl SdxRuntime {
     /// when no safe schedule exists ([`CompileError::PlanRejected`]); the
     /// old tables stay in place.
     pub fn compile(&mut self) -> Result<CompileStats, CompileError> {
+        self.swap_staged();
+        let result = self.compile_policies();
+        if result.is_ok() {
+            self.staged.clear();
+        } else {
+            self.swap_staged();
+        }
+        result
+    }
+
+    /// Exchange each staged policy with the one in force.
+    fn swap_staged(&mut self) {
+        for (id, slot) in &mut self.staged {
+            *slot = match slot.take() {
+                Some(policy) => self.policies.insert(*id, policy),
+                None => self.policies.remove(id),
+            };
+        }
+    }
+
+    /// [`compile`](Self::compile) with the staged policies in force.
+    fn compile_policies(&mut self) -> Result<CompileStats, CompileError> {
         // Capture the pre-update view before anything moves: the installed
         // tables (overlays included) and the live verifier input.
         let plan_old = if self.options.plan != AnalysisMode::Off {
@@ -385,16 +424,10 @@ impl SdxRuntime {
             None
         };
 
-        let mut compilation = {
-            let input = CompileInput {
-                participants: &self.participants,
-                policies: &self.policies,
-                policy_versions: &self.policy_versions,
-                route_server: &self.route_server,
-                options: self.options,
-            };
-            compile(&input, &mut self.alloc, &self.memo)?
-        };
+        // The pool advances only if this compile installs: a failed one
+        // leaves the installed groups' and fragments' tags allocated.
+        let mut alloc = self.alloc.clone();
+        let mut compilation = compile(&self.input(), &mut alloc, &self.memo)?;
 
         // ---- Update-plan safety gate (§ consistent updates) --------------
         let mut schedule = None;
@@ -438,6 +471,7 @@ impl SdxRuntime {
             schedule = report.schedule.clone();
             self.last_plan = Some(report);
         }
+        self.alloc = alloc;
 
         // ---- Install ------------------------------------------------------
         let planned = schedule

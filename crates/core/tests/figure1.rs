@@ -472,58 +472,164 @@ fn compile_errors_are_reported() {
     ));
 }
 
-#[test]
-fn multiswitch_distribution_preserves_forwarding() {
-    use sdx_core::{distribute, FabricLayout, SwitchId};
+/// B re-announces p1 unchanged: one fast-path fragment for 11.0.0.0/8,
+/// nothing else moves.
+fn reannounce_p1(sim: &mut FabricSim) {
+    let b_nh = Ipv4Addr::new(172, 0, 0, 21);
+    sim.runtime_mut()
+        .announce(B, [p("11.0.0.0/8")], attrs(&[200, 65001], b_nh));
+    assert!(!sim.runtime().overlays().is_empty());
+    sim.sync();
+}
 
+#[test]
+fn drop_clause_survives_an_update() {
+    // The fragment is the full compile's sender stage for its prefix, so
+    // A's drop clause is in it too, pinned to the fresh tag.
+    let mut sdx = figure1(CompileOptions::default());
+    sdx.set_policy(
+        A,
+        ParticipantPolicy::new()
+            .outbound(Clause::drop(match_(Field::DstPort, 22u16)))
+            .outbound(Clause::fwd(match_(Field::DstPort, 80u16), B)),
+    );
+    sdx.compile().unwrap();
+    let mut sim = FabricSim::new(sdx);
+    sim.sync();
+    assert!(sim.send_from(A, pkt("55.0.0.1", "11.0.0.1", 22)).is_empty());
+
+    reannounce_p1(&mut sim);
+    let out = sim.send_from(A, pkt("55.0.0.1", "11.0.0.1", 22));
+    assert!(out.is_empty(), "the drop clause was bypassed: {out:?}");
+    assert_eq!(sim.send_from(A, pkt("55.0.0.1", "11.0.0.1", 80))[0].to, B);
+    assert_eq!(sim.send_from(A, pkt("55.0.0.1", "11.0.0.1", 443))[0].to, C);
+}
+
+#[test]
+fn middlebox_steering_survives_an_update() {
+    let mut sdx = figure1(CompileOptions::default());
+    let mb = ParticipantId(5);
+    let mb_port = 9;
+    sdx.add_participant(Participant::new(mb, Asn(64512), vec![port(mb_port, 90)]));
+    sdx.set_policy(
+        A,
+        ParticipantPolicy::new()
+            .outbound(Clause::fwd(match_(Field::DstPort, 80u16), mb).unfiltered())
+            .outbound(Clause::fwd(match_(Field::DstPort, 443u16), B)),
+    );
+    sdx.compile().unwrap();
+    let mut sim = FabricSim::new(sdx);
+    sim.sync();
+    assert_eq!(sim.send_from(A, pkt("55.0.0.1", "11.0.0.1", 80))[0].to, mb);
+
+    reannounce_p1(&mut sim);
+    for dst in ["11.0.0.1", "12.0.0.1"] {
+        let out = sim.send_from(A, pkt("55.0.0.1", dst, 80));
+        assert_eq!(out.len(), 1, "{dst}: {out:?}");
+        assert_eq!(out[0].to, mb, "{dst}: steering was bypassed");
+        assert_eq!(out[0].port, mb_port);
+        assert_eq!(sim.send_from(A, pkt("55.0.0.1", dst, 443))[0].to, B);
+    }
+}
+
+#[test]
+fn set_policy_takes_effect_at_the_next_compile() {
+    let mut sim = sim(CompileOptions::default());
+    let web_via_c =
+        || ParticipantPolicy::new().outbound(Clause::fwd(match_(Field::DstPort, 80u16), C));
+    // Staged, not compiled: an update must not enforce it for p1 alone.
+    sim.runtime_mut().set_policy(A, web_via_c());
+    reannounce_p1(&mut sim);
+    for dst in ["11.0.0.1", "12.0.0.1"] {
+        let out = sim.send_from(A, pkt("55.0.0.1", dst, 80));
+        assert_eq!(out[0].to, B, "{dst}: the staged policy leaked");
+    }
+
+    // A compile that fails keeps the policies in force: the staged one
+    // still does not reach the fragments.
+    sim.runtime_mut().set_policy(
+        A,
+        web_via_c().outbound(Clause::fwd(!match_(Field::DstPort, 25u16), C)),
+    );
+    assert!(sim.runtime_mut().compile().is_err());
+    reannounce_p1(&mut sim);
+    for dst in ["11.0.0.1", "12.0.0.1"] {
+        let out = sim.send_from(A, pkt("55.0.0.1", dst, 80));
+        assert_eq!(out[0].to, B, "{dst}: the rejected policy leaked");
+    }
+
+    // The next successful compile applies what is staged.
+    sim.runtime_mut().set_policy(A, web_via_c());
+    sim.runtime_mut().compile().unwrap();
+    sim.sync();
+    for dst in ["11.0.0.1", "12.0.0.1"] {
+        assert_eq!(sim.send_from(A, pkt("55.0.0.1", dst, 80))[0].to, C);
+    }
+}
+
+#[test]
+fn failed_compile_keeps_the_installed_tags() {
+    // A compile the analysis gate rejects must not rewind the VNH pool:
+    // the installed groups and fragments keep their tags, and the next
+    // fragment takes a fresh one.
+    let mut sdx = figure1(CompileOptions {
+        analysis: sdx_core::AnalysisMode::Deny,
+        ..Default::default()
+    });
+    sdx.compile().unwrap();
+    let mut sim = FabricSim::new(sdx);
+    sim.sync();
+    // A shadowed clause, and fewer groups than the installed compile has.
+    let web = match_(Field::DstPort, 80u16);
+    sim.runtime_mut().set_policy(
+        A,
+        ParticipantPolicy::new()
+            .outbound(Clause::fwd(web.clone(), B))
+            .outbound(Clause::fwd(
+                web.and(sdx_policy::match_prefix(Field::DstIp, p("11.0.0.0/8"))),
+                B,
+            )),
+    );
+    assert!(matches!(
+        sim.runtime_mut().compile(),
+        Err(sdx_core::CompileError::AnalysisRejected(_))
+    ));
+    reannounce_p1(&mut sim);
+    let runtime = sim.runtime();
+    let fresh = runtime.overlays()[0].vmac;
+    let installed = &runtime.compilation().unwrap().vnh;
+    assert!(
+        installed.iter().all(|(_, vmac)| *vmac != fresh),
+        "the fragment reused an installed tag {fresh}"
+    );
+    for (dst, dport, to) in [
+        ("11.0.0.1", 80, B),
+        ("11.0.0.1", 443, C),
+        ("12.0.0.1", 22, C),
+        ("13.0.0.1", 22, B),
+        ("14.0.0.1", 443, C),
+    ] {
+        let out = sim.send_from(A, pkt("55.0.0.1", dst, dport));
+        assert_eq!(out.len(), 1, "{dst}:{dport}: {out:?}");
+        assert_eq!(out[0].to, to, "{dst}:{dport}");
+    }
+}
+
+#[test]
+fn reregistration_invalidates_the_memo() {
+    // Registering C again with another port must rebuild its receiver
+    // block: a memo version that went back to 0 served the old one.
     let mut sdx = figure1(CompileOptions::default());
     sdx.compile().unwrap();
-
-    // Split the exchange across two physical switches: A and B's first port
-    // on sw1; B's second port and C on sw2.
-    let layout = FabricLayout::new()
-        .add_switch(SwitchId(1), [A1, B1])
-        .unwrap()
-        .add_switch(SwitchId(2), [B2, C1])
-        .unwrap()
-        .link(SwitchId(1), SwitchId(2))
-        .unwrap();
-    let fabric = sdx.compilation().unwrap().fabric.clone();
-    let mut multi = distribute(&fabric, &layout).unwrap();
-
-    // Frames as A's border router would emit them: VMAC-tagged per prefix.
-    let vmac_of = |s: &str| sdx.compilation().unwrap().vmac_of(&p(s)).unwrap();
-    let mut frames = Vec::new();
-    for (dst, prefix) in [
-        ("11.0.0.1", "11.0.0.0/8"),
-        ("13.0.0.1", "13.0.0.0/8"),
-        ("14.0.0.1", "14.0.0.0/8"),
-    ] {
-        for dport in [80u16, 443, 22] {
-            for src in ["55.0.0.1", "200.0.0.1"] {
-                frames.push(
-                    pkt(src, dst, dport)
-                        .with(Field::Port, A1)
-                        .with(Field::DstMac, vmac_of(prefix))
-                        .with(Field::SrcMac, sdx_ip::MacAddr::from_u64(0xa)),
-                );
-            }
-        }
-    }
-
-    for frame in frames {
-        let mut single: Vec<(u32, sdx_policy::Packet)> = sdx.process_packet(&frame);
-        let mut multi_out = multi.process(&frame);
-        single.sort_by_key(|(p, _)| *p);
-        multi_out.sort_by_key(|(p, _)| *p);
-        assert_eq!(single, multi_out, "frame {frame}");
-    }
-
-    // Both switches carry fewer rules than the logical table would need in
-    // one device, and transit continuations exist.
-    let per = multi.rules_per_switch();
-    assert!(per[&SwitchId(1)] > 0 && per[&SwitchId(2)] > 0);
-    assert!(multi.trunk(SwitchId(1), SwitchId(2)).is_some());
+    sdx.add_participant(Participant::new(C, Asn(300), vec![port(7, 31)]));
+    let stats = sdx.compile().unwrap();
+    assert!(stats.memo_misses >= 1, "{stats:?}");
+    let mut sim = FabricSim::new(sdx);
+    sim.sync();
+    let out = sim.send_from(A, pkt("55.0.0.1", "11.0.0.1", 443));
+    assert_eq!(out.len(), 1, "{out:?}");
+    assert_eq!(out[0].to, C);
+    assert_eq!(out[0].port, 7);
 }
 
 #[test]

@@ -8,15 +8,22 @@
 //! here, over random route servers: export denials, NO_EXPORT and
 //! route-server action communities, AS paths through the author,
 //! self-targets, unknown authors and targets, and unscoped clauses.
+//!
+//! On the same route servers, the route server's one export test answers
+//! `reachable_via` and `advert_map` exactly as `exports_to` does, pointwise,
+//! and the fast path's membership test `in_effective_set` agrees with
+//! `effective_set`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sdx_bgp::{AsPath, Asn, Community, ExportPolicy, PathAttributes, RouteServer, RouterId};
-use sdx_core::compile::compile;
+use sdx_bgp::{
+    AsPath, Asn, Community, ExportPolicy, PathAttributes, PeerId, RouteServer, RouterId,
+};
+use sdx_core::compile::{compile, effective_set, in_effective_set};
 use sdx_core::{
     Clause, CompileInput, CompileOptions, Dest, MemoCache, Participant, ParticipantId,
     ParticipantPolicy, PortConfig, VnhAllocator,
@@ -208,6 +215,57 @@ proptest! {
         let compilation = compile(&input, &mut VnhAllocator::default_pool(), &MemoCache::new())
             .map_err(|e| TestCaseError::fail(format!("compile failed: {e}")))?;
         prop_assert_eq!(compilation.policy_sets, reference_policy_sets(&case));
+    }
+
+    #[test]
+    fn export_queries_agree_with_exports_to(seed in any::<u64>()) {
+        let case = random_case(seed);
+        let rs = &case.rs;
+        let peers: Vec<PeerId> = PEERS
+            .iter()
+            .chain(&[UNKNOWN_AUTHOR, UNKNOWN_TARGET])
+            .map(|&id| ParticipantId(id).peer())
+            .collect();
+        for prefix in prefix_pool() {
+            let adverts = rs.advert_map(&prefix);
+            for &viewer in &peers {
+                let pointwise: BTreeSet<PeerId> = peers
+                    .iter()
+                    .copied()
+                    .filter(|&announcer| rs.exports_to(announcer, &prefix, viewer))
+                    .collect();
+                prop_assert_eq!(rs.reachable_via(&prefix, viewer), pointwise.clone());
+                // `advert_map` lists the known peers that see any route.
+                let known = rs.peer(viewer).is_some() && !pointwise.is_empty();
+                let expected = known.then_some(pointwise);
+                prop_assert_eq!(adverts.get(&viewer).cloned(), expected, "{} at {}", prefix, viewer);
+            }
+        }
+    }
+
+    #[test]
+    fn fragment_membership_agrees_with_effective_set(seed in any::<u64>()) {
+        let case = random_case(seed);
+        let versions = BTreeMap::new();
+        let input = CompileInput {
+            participants: &case.participants,
+            policies: &case.policies,
+            policy_versions: &versions,
+            route_server: &case.rs,
+            options: CompileOptions::default(),
+        };
+        for (author, policy) in &case.policies {
+            for clause in &policy.outbound {
+                let set = effective_set(&input, *author, clause);
+                for prefix in prefix_pool() {
+                    prop_assert_eq!(
+                        in_effective_set(&input, *author, clause, &prefix),
+                        set.as_ref().is_some_and(|set| set.contains(&prefix)),
+                        "{} {:?} {}", author, clause.dest, prefix
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -12,6 +12,9 @@
 //! (the streamed fast path) instead of recompiles, with path lengths
 //! randomized so best routes genuinely flip — remove + install in one
 //! event — rather than only grow.
+//!
+//! The same churn must also leave the fabric packet-equivalent to a fresh
+//! compile after every update (`SdxRuntime::verify_differential`).
 
 use std::net::Ipv4Addr;
 
@@ -157,6 +160,50 @@ fn incremental_verdicts_match_from_scratch_oracle() {
     }
     assert!(checked >= 64, "only {checked} events cross-checked");
     assert!(flips >= 8, "only {flips} remove+install flips exercised");
+}
+
+/// Streamed churn converges on what a fresh compile of the same inputs
+/// forwards: after every update, in single- and multi-table mode, the
+/// differential check finds no packet the running fabric (base table plus
+/// fragments) treats differently. The fabrics carry drop and unfiltered
+/// clauses, which every fragment must keep.
+#[test]
+fn streamed_churn_equals_a_fresh_compile() {
+    let mut rng = StdRng::seed_from_u64(0x00d1_ff5e);
+    let mut updates = 0usize;
+    for multi_table in [false, true] {
+        let mut fabrics = 0usize;
+        while fabrics < 24 {
+            let options = CompileOptions {
+                multi_table,
+                ..Default::default()
+            };
+            let Some(mut sdx) = random_fabric(&mut rng, options) else {
+                continue;
+            };
+            fabrics += 1;
+            let n = sdx.verify_input().expect("compiled").participants.len() as u32;
+            for _ in 0..rng.gen_range(4..=8) {
+                let id = ParticipantId(rng.gen_range(1..=n));
+                let p: Prefix = PREFIXES[rng.gen_range(0..PREFIXES.len())].parse().unwrap();
+                let update = if rng.gen_bool(0.35) {
+                    Update::withdraw([p])
+                } else {
+                    let a = attrs(&mut rng, id);
+                    Update::announce([p], a)
+                };
+                sdx.apply_update_delta(id, &update);
+                updates += 1;
+                let report = sdx.verify_differential().expect("reference compiles");
+                assert!(
+                    report.diagnostics.is_empty() && report.undecided == 0,
+                    "multi_table={multi_table}, fabric {fabrics}, {update:?}: {:?}",
+                    report.diagnostics
+                );
+            }
+        }
+    }
+    assert!(updates >= 200, "only {updates} updates checked");
 }
 
 /// Deny-mode recovery, end to end. MBB fast-path schedules are

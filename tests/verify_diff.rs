@@ -90,6 +90,35 @@ fn incremental_recompile_is_equivalent_to_fresh() {
 }
 
 #[test]
+fn rehomed_ungrouped_prefix_is_equivalent_to_fresh() {
+    // No clause references D's 40.0.0.0/8, so a fresh compile leaves it
+    // ungrouped and D's router MAC is its tag. One update re-homes it onto
+    // a VNH in the running fabric. Both sides deliver the same frame, with
+    // D's router MAC as its destination, and that is no difference.
+    let d = ParticipantId(4);
+    for multi_table in [false, true] {
+        let mut sdx = fabric(1, multi_table);
+        sdx.add_participant(Participant::new(d, Asn(65004), vec![port(4)]));
+        sdx.announce(d, [p("40.0.0.0/8")], attrs(65004, 4));
+        sdx.compile().unwrap();
+        assert!(sdx
+            .compilation()
+            .unwrap()
+            .vmac_of(&p("40.0.0.0/8"))
+            .is_none());
+
+        sdx.announce(d, [p("40.0.0.0/8")], attrs(65004, 4));
+        assert_eq!(sdx.overlays().len(), 1);
+        let report = sdx.verify_differential().unwrap();
+        assert!(
+            report.diagnostics.is_empty(),
+            "multi_table={multi_table}: {:?}",
+            report.diagnostics
+        );
+    }
+}
+
+#[test]
 fn tampered_pipeline_is_caught_with_a_confirmed_witness() {
     let sdx = fabric(1, false);
     let vi = sdx.verify_input().unwrap();
