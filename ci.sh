@@ -84,11 +84,20 @@ target/release/dataplane --diff-fig1
 SDX_BENCH_QUICK=1 SDX_BENCH_JSON="$smoke_dir/dp.json" \
     target/release/dataplane > /dev/null
 for key in shards aggregate_pps wall_pps scaling_efficiency linear_pps \
-           linear_packets buckets index_build_us speedup_vs_linear; do
+           linear_packets buckets probes_per_packet index_build_us speedup_vs_linear; do
     grep -q "\"$key\":" "$smoke_dir/dp.json" || {
         echo "ci: dataplane json missing $key" >&2; exit 1
     }
 done
+# The index's partition (probe only the buckets that can hold the frame's
+# VMAC) is invisible to every forwarding check: without it the same rule
+# still wins. Its probe count repeats exactly run to run, so gate on it:
+# each quick record must probe fewer than half its buckets per frame.
+if ! grep -o '"buckets":[0-9]*,"probes_per_packet":[0-9.]*' "$smoke_dir/dp.json" \
+    | awk -F'[:,]' '{ n++; print "buckets " $2 ", probes per packet " $4; if ($4 >= $2 / 2) bad = 1 }
+                    END { exit (bad || n == 0) }'; then
+    echo "ci: the index probes half its buckets or more per frame" >&2; exit 1
+fi
 
 echo "== data-plane shard smoke (dataplane quick, SDX_DP_THREADS 1 vs 4)"
 # The RSS-sharded data plane must forward bit-identically regardless of the

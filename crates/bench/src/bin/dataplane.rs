@@ -3,7 +3,8 @@
 //! 100/200/300 participants), comparing the RSS-sharded tuple-space data
 //! plane against the single-threaded linear-scan baseline, and emit
 //! `BENCH_dataplane.json` (aggregate + wall packets/sec, scaling
-//! efficiency, packets-per-sample, rule/bucket counts, index build time).
+//! efficiency, packets-per-sample, rule/bucket counts, index buckets
+//! probed per packet, index build time).
 //!
 //! **Aggregate throughput model.** Shards are executed *serially* with
 //! per-shard busy-time instrumentation (`process_batch_serial_into`);
@@ -73,8 +74,8 @@ fn main() {
     println!("# Data plane — RSS-sharded tuple-space lookup vs linear baseline");
     println!("# aggregate_pps = packets / max per-shard busy time (dedicated-core model)");
     println!(
-        "participants\tshards\trules\tbuckets\tindex_build_us\taggregate_pps\twall_pps\t\
-         efficiency\tlinear_pps\tspeedup"
+        "participants\tshards\trules\tbuckets\tprobes\tindex_build_us\taggregate_pps\t\
+         wall_pps\tefficiency\tlinear_pps\tspeedup"
     );
     let mut records = Vec::new();
     for &n in sizes {
@@ -91,6 +92,7 @@ fn main() {
 
         let rules = sdx.switch().total_rules();
         let stats = sdx.switch().index_stats();
+        let probes = probes_per_packet(&sdx, &frames);
 
         // Linear-scan baseline, time-boxed for stability: at least
         // `linear_floor` packets AND at least `linear_box` of wall clock
@@ -120,8 +122,8 @@ fn main() {
             let fp = fingerprint(&mut sdx, &frames);
 
             println!(
-                "{n}\t{shards}\t{rules}\t{}\t{index_build_us}\t{:.0}\t{:.0}\t{efficiency:.2}\t\
-                 {linear_pps:.0}\t{speedup:.1}x",
+                "{n}\t{shards}\t{rules}\t{}\t{probes:.2}\t{index_build_us}\t{:.0}\t{:.0}\t\
+                 {efficiency:.2}\t{linear_pps:.0}\t{speedup:.1}x",
                 stats.buckets, run.aggregate_pps, run.wall_pps
             );
             println!("# fingerprint participants={n} shards={shards} {fp:016x}");
@@ -132,6 +134,7 @@ fn main() {
                     .uint("shards", shards)
                     .uint("rules", rules)
                     .uint("buckets", stats.buckets)
+                    .float("probes_per_packet", probes, 2)
                     .uint("groups", stats.groups)
                     .uint("index_build_us", index_build_us)
                     .uint("packets", run.packets)
@@ -184,6 +187,15 @@ fn replay_sharded(sdx: &mut SdxRuntime, frames: &[Packet], target: u64) -> Shard
         aggregate_pps: sent as f64 / max_busy.max(f64::EPSILON),
         wall_pps: sent as f64 / wall.max(f64::EPSILON),
     }
+}
+
+/// Index buckets probed per frame, averaged over `frames`. Counted off the
+/// hot path, in the first pipeline table — the whole fabric, since the
+/// bench compiles single-table.
+fn probes_per_packet(sdx: &SdxRuntime, frames: &[Packet]) -> f64 {
+    let table = sdx.switch().table();
+    let probes: usize = frames.iter().map(|f| table.buckets_probed(f)).sum();
+    probes as f64 / frames.len() as f64
 }
 
 /// Replay through the single-threaded linear-scan path until both the

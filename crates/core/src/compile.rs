@@ -39,7 +39,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::fec::{self, DefaultView, PrefixGroup};
 use crate::vnh::VnhAllocator;
-use crate::{Clause, Dest, Participant, ParticipantId, ParticipantPolicy};
+use crate::{Clause, Dest, Participant, ParticipantId, ParticipantPolicy, PortConfig};
 
 /// Compiler configuration; the defaults are the paper's design, the flags
 /// exist for the ablation benchmarks.
@@ -362,6 +362,9 @@ impl std::error::Error for CompileError {}
 
 /// Memo cache for receiver-stage blocks, keyed by participant and a version
 /// the runtime bumps whenever that participant's policy or ports change.
+/// A block also depends on where its inbound clauses deliver — another
+/// participant's ports, a BGP best route — so each entry keeps those
+/// targets too, and is served only while they still resolve the same.
 ///
 /// The cache is sharded: entries live behind per-shard mutexes (participants
 /// map to shards by id), so the parallel receiver-stage builders read and
@@ -375,8 +378,9 @@ pub struct MemoCache {
     shards: Vec<Mutex<MemoShard>>,
 }
 
-/// One shard's contents: participant → (policy version, cached block).
-type MemoShard = HashMap<ParticipantId, (u64, Vec<Rule>)>;
+/// One shard's contents: participant → (policy version, clause targets,
+/// cached block).
+type MemoShard = HashMap<ParticipantId, (u64, Vec<Option<PortConfig>>, Vec<Rule>)>;
 
 /// Shard count: enough to make contention unlikely at realistic parallelism
 /// without wasting memory on tiny deployments.
@@ -402,18 +406,36 @@ impl MemoCache {
         &self.shards[id.0 as usize % MEMO_SHARDS]
     }
 
-    /// The cached block for `id`, if its version is current.
-    fn lookup(&self, id: ParticipantId, version: u64) -> Option<Vec<Rule>> {
-        let shard = self.shard(id).lock().unwrap();
+    /// The cached block for `id`, if it was built at `version` with the
+    /// same clause `targets`.
+    fn lookup(
+        &self,
+        id: ParticipantId,
+        version: u64,
+        targets: &[Option<PortConfig>],
+    ) -> Option<Vec<Rule>> {
+        let shard = self
+            .shard(id)
+            .lock()
+            .expect("memo cache shard lock poisoned");
         match shard.get(&id) {
-            Some((cached_version, rules)) if *cached_version == version => Some(rules.clone()),
+            Some((v, t, rules)) if *v == version && t == targets => Some(rules.clone()),
             _ => None,
         }
     }
 
     /// Insert (replace) the block for `id`.
-    fn store(&self, id: ParticipantId, version: u64, rules: Vec<Rule>) {
-        self.shard(id).lock().unwrap().insert(id, (version, rules));
+    fn store(
+        &self,
+        id: ParticipantId,
+        version: u64,
+        targets: Vec<Option<PortConfig>>,
+        rules: Vec<Rule>,
+    ) {
+        self.shard(id)
+            .lock()
+            .expect("memo cache shard lock poisoned")
+            .insert(id, (version, targets, rules));
     }
 
     /// Evict entries for participants no longer present (the runtime calls
@@ -422,14 +444,17 @@ impl MemoCache {
         for shard in &self.shards {
             shard
                 .lock()
-                .unwrap()
+                .expect("memo cache shard lock poisoned")
                 .retain(|id, _| participants.contains_key(id));
         }
     }
 
     /// Cached entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("memo cache shard lock poisoned").len())
+            .sum()
     }
 
     /// Whether the cache holds nothing.
@@ -440,7 +465,10 @@ impl MemoCache {
     /// Drop everything (e.g. after wholesale reconfiguration).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().unwrap().clear();
+            shard
+                .lock()
+                .expect("memo cache shard lock poisoned")
+                .clear();
         }
     }
 }
@@ -1068,8 +1096,9 @@ fn build_stage2(
 }
 
 /// One participant's receiver-stage entry: serve the block from the memo
-/// cache when its version is current, else build and (when memoizing) store
-/// it. The boolean reports a cache hit.
+/// cache when its version is current and its inbound clauses still deliver
+/// where they did, else build and (when memoizing) store it. The boolean
+/// reports a cache hit.
 fn stage2_entry(
     input: &CompileInput<'_>,
     pool: &SharedPredicatePool,
@@ -1078,50 +1107,50 @@ fn stage2_entry(
     participant: &Participant,
 ) -> Result<(Vec<Rule>, bool), CompileError> {
     let version = input.policy_versions.get(&id).copied().unwrap_or(0);
+    let empty = ParticipantPolicy::default();
+    let policy = input.policies.get(&id).unwrap_or(&empty);
+    let targets: Vec<Option<PortConfig>> = policy
+        .inbound
+        .iter()
+        .map(|clause| clause_target(input, participant, clause))
+        .collect();
     if input.options.memoize {
-        if let Some(cached) = memo.lookup(id, version) {
+        if let Some(cached) = memo.lookup(id, version, &targets) {
             return Ok((cached, true));
         }
     }
-    let block = stage2_block(input, pool, id, participant)?;
+    let block = stage2_block(pool, id, participant, policy, &targets)?;
     if input.options.memoize {
-        memo.store(id, version, block.clone());
+        memo.store(id, version, targets, block.clone());
     }
     Ok((block, false))
 }
 
 /// One participant's receiver block: inbound clauses (isolated to its
-/// virtual port), then MAC-directed port selection, then the default
-/// deliver-to-primary-port rule.
+/// virtual port, each delivering to its resolved target), then MAC-directed
+/// port selection, then the default deliver-to-primary-port rule.
 fn stage2_block(
-    input: &CompileInput<'_>,
     pool: &SharedPredicatePool,
     id: ParticipantId,
     participant: &Participant,
+    policy: &ParticipantPolicy,
+    targets: &[Option<PortConfig>],
 ) -> Result<Vec<Rule>, CompileError> {
     let mut rules = Vec::new();
     let vport_pred = Predicate::test(Field::Port, id.vport());
-    let empty = ParticipantPolicy::default();
-    let policy = input.policies.get(&id).unwrap_or(&empty);
 
-    for clause in &policy.inbound {
+    for (clause, target) in policy.inbound.iter().zip(targets) {
         let mut pred = clause.match_.clone().and(vport_pred.clone());
         if let Some(scope) = &clause.dst_prefixes {
             pred = pred.and(Predicate::in_prefixes(Field::DstIp, scope.clone()));
         }
-        let base = rewrites_action(&clause.rewrites);
-        let action = match clause.dest {
-            Dest::OwnPort(port) => {
-                let cfg = participant
-                    .ports
-                    .iter()
-                    .find(|p| p.port == port)
-                    .expect("validated own port");
-                vec![deliver(base, cfg.port, cfg.mac)]
-            }
-            Dest::Drop => Vec::new(),
-            Dest::Participant(to) => deliver_to_participant(input, to, base),
-            Dest::BgpDefault => resolve_bgp_default(input, id, clause, base),
+        let action = match target {
+            Some(cfg) => vec![deliver(
+                rewrites_action(&clause.rewrites),
+                cfg.port,
+                cfg.mac,
+            )],
+            None => Vec::new(),
         };
         rules.extend(clause_rules(pool, &pred, action));
     }
@@ -1161,44 +1190,42 @@ fn deliver(base: Action, port: u32, mac: MacAddr) -> Action {
     base.with(Field::DstMac, mac).with(Field::Port, port)
 }
 
-/// Collapse forwarding to another participant into direct delivery at its
-/// primary port (the composed pipeline is two stages deep, so a third hop is
-/// resolved at compile time).
-fn deliver_to_participant(
+/// The physical port an inbound clause of `author` delivers to, or `None`
+/// when it drops. Forwarding to another participant collapses into direct
+/// delivery at that participant's primary port (the composed pipeline is
+/// two stages deep, so a third hop is resolved at compile time); a
+/// `BgpDefault` clause delivers to the primary port of the peer announcing
+/// the best route, as seen by `author`, for its (rewritten) destination.
+fn clause_target(
     input: &CompileInput<'_>,
-    to: ParticipantId,
-    base: Action,
-) -> Vec<Action> {
-    match input
-        .participants
-        .get(&to)
-        .and_then(|p| p.primary_port().copied())
-    {
-        Some(cfg) => vec![deliver(base, cfg.port, cfg.mac)],
-        None => Vec::new(),
-    }
-}
-
-/// Resolve a `BgpDefault` inbound clause: look up the (rewritten)
-/// destination address's best route as seen by the clause's author and
-/// deliver to that peer's primary port.
-fn resolve_bgp_default(
-    input: &CompileInput<'_>,
-    author: ParticipantId,
+    author: &Participant,
     clause: &Clause,
-    base: Action,
-) -> Vec<Action> {
-    let Some(dst) = base
-        .get(Field::DstIp)
-        .map(|v| Ipv4Addr::from(v as u32))
-        .or_else(|| clause_single_dst(clause))
-    else {
-        return Vec::new();
+) -> Option<PortConfig> {
+    let primary_of = |to: ParticipantId| {
+        input
+            .participants
+            .get(&to)
+            .and_then(|p| p.primary_port().copied())
     };
-    let Some((_, best)) = input.route_server.lpm_best(dst, author.peer()) else {
-        return Vec::new();
-    };
-    deliver_to_participant(input, ParticipantId::from(best.peer), base)
+    match clause.dest {
+        Dest::OwnPort(port) => Some(
+            *author
+                .ports
+                .iter()
+                .find(|p| p.port == port)
+                .expect("validated own port"),
+        ),
+        Dest::Drop => None,
+        Dest::Participant(to) => primary_of(to),
+        Dest::BgpDefault => {
+            let dst = rewrites_action(&clause.rewrites)
+                .get(Field::DstIp)
+                .map(|v| Ipv4Addr::from(v as u32))
+                .or_else(|| clause_single_dst(clause))?;
+            let (_, best) = input.route_server.lpm_best(dst, author.id.peer())?;
+            primary_of(ParticipantId::from(best.peer))
+        }
+    }
 }
 
 /// If the clause is scoped to a single host prefix, its address (used to

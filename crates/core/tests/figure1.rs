@@ -633,6 +633,74 @@ fn reregistration_invalidates_the_memo() {
 }
 
 #[test]
+fn memoized_bgp_default_block_follows_the_route_server() {
+    // D's receiver block resolves its BgpDefault clause (rewrite to
+    // 11.0.0.77) against the route server. After C withdraws 11.0.0.0/8
+    // the block must be rebuilt even though D's policy did not change,
+    // while the blocks that read no route still come from the memo.
+    let mut sdx = figure1(CompileOptions::default());
+    let d = ParticipantId(4);
+    sdx.add_participant(Participant::remote(d, Asn(400)));
+    sdx.announce(
+        d,
+        [p("74.125.1.0/24")],
+        attrs(&[400], Ipv4Addr::new(172, 0, 0, 99)),
+    );
+    sdx.set_policy(
+        d,
+        ParticipantPolicy::new().inbound(Clause {
+            match_: sdx_policy::Predicate::True,
+            dst_prefixes: Some([p("74.125.1.0/24")].into_iter().collect()),
+            rewrites: vec![(
+                Field::DstIp,
+                u32::from("11.0.0.77".parse::<Ipv4Addr>().unwrap()) as u64,
+            )],
+            dest: sdx_core::Dest::BgpDefault,
+            unfiltered: false,
+        }),
+    );
+    sdx.compile().unwrap();
+    sdx.withdraw(C, [p("11.0.0.0/8")]);
+    let stats = sdx.reoptimize().unwrap();
+    assert_eq!((stats.memo_hits, stats.memo_misses), (3, 1), "{stats:?}");
+    let report = sdx.verify_differential().unwrap();
+    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+    let mut sim = FabricSim::new(sdx);
+    sim.sync();
+    let out = sim.send_from(A, pkt("55.0.0.1", "74.125.1.1", 80));
+    assert_eq!(out.len(), 1, "{out:?}");
+    assert_eq!(out[0].to, B);
+    assert_eq!(out[0].packet.dst_ip().unwrap().to_string(), "11.0.0.77");
+}
+
+#[test]
+fn memoized_block_follows_a_reregistered_participant() {
+    // B hands inbound ssh to C. When C re-registers on port 7, B's block
+    // must deliver there although B's own policy and ports are unchanged.
+    let mut sdx = figure1(CompileOptions::default());
+    sdx.set_policy(
+        B,
+        ParticipantPolicy::new().inbound(Clause {
+            match_: match_(Field::DstPort, 22u16),
+            dst_prefixes: None,
+            rewrites: Vec::new(),
+            dest: sdx_core::Dest::Participant(C),
+            unfiltered: false,
+        }),
+    );
+    sdx.compile().unwrap();
+    sdx.add_participant(Participant::new(C, Asn(300), vec![port(7, 31)]));
+    sdx.compile().unwrap();
+    let mut sim = FabricSim::new(sdx);
+    sim.sync();
+    // 13.0.0.0/8's best route is B's, so ssh to it enters B's block.
+    let out = sim.send_from(A, pkt("55.0.0.1", "13.0.0.1", 22));
+    assert_eq!(out.len(), 1, "{out:?}");
+    assert_eq!(out[0].to, C);
+    assert_eq!(out[0].port, 7);
+}
+
+#[test]
 fn rpki_invalid_announcements_are_rejected() {
     use sdx_bgp::{Roa, RpkiValidator};
 

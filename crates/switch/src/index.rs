@@ -21,13 +21,24 @@
 //!
 //! Buckets are probed in descending order of their highest priority, and
 //! probing stops as soon as the current best candidate outranks every
-//! remaining bucket's ceiling — most packets touch 1–3 buckets regardless
-//! of table size.
+//! remaining bucket's ceiling. In SDX tables that exit rarely fires: every
+//! bucket's priorities span most of the table. What names the few buckets
+//! a packet can hit is the **partition field** — the exact field most
+//! rules pin, which in every SDX table is `DstMac`, the §4.2 VMAC tag. The
+//! index keeps, per value of that field, a mask of the buckets holding a
+//! group under the value, plus one mask of the buckets that leave the
+//! field wild, and probes only those buckets (in the same order, with the
+//! same early exit) — Open vSwitch's classifier partitioning on top of
+//! tuple-space search. The masks are inline `u64`s with one bit per
+//! bucket, by creation index, so re-sorting the probe order leaves them
+//! valid; the 65th bucket on is probed for every packet.
 //!
-//! The index is maintained incrementally on [`insert`](TableIndex::insert)
-//! (the §4.3.2 fast path appends overlay rules constantly) and rebuilt from
-//! scratch only on removal, which in the SDX workload happens orders of
-//! magnitude less often than insertion or lookup.
+//! [`build`](TableIndex::build) indexes a whole rule list in one pass:
+//! bucket every rule, choose the partition field, fill the masks and sort
+//! the probe order once. [`insert`](TableIndex::insert) sets the rule's
+//! bit for the §4.3.2 fast path's fragment rules and re-sorts the probe
+//! order only when the rule's bucket now outranks its predecessor there (a
+//! new bucket starts last); removals rebuild.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -102,6 +113,9 @@ enum Group {
     Trie(PrefixTrie<Vec<Entry>>),
 }
 
+/// Buckets the per-value masks cover (one bit each, by creation index).
+const MASK_BITS: usize = u64::BITS as usize;
+
 /// One tuple-space bucket: all rules sharing a match signature.
 #[derive(Debug, Clone)]
 struct Bucket {
@@ -162,19 +176,78 @@ pub(crate) struct TableIndex {
     by_sig: HashMap<MatchSignature, usize>,
     /// Bucket indices sorted by descending `max_priority` — the probe order.
     order: Vec<usize>,
+    /// The exact field most rules pinned at the last build; `None` when no
+    /// rule pinned any field.
+    partition: Option<Field>,
+    /// Partition value → the buckets (bit `i` = `buckets[i]`, for the
+    /// first [`MASK_BITS`]) holding a group under it.
+    pinned: HashMap<u64, u64>,
+    /// The buckets that leave the partition field wild.
+    wild: u64,
 }
 
 impl TableIndex {
-    /// Drop every bucket.
-    pub(crate) fn clear(&mut self) {
-        self.buckets.clear();
-        self.by_sig.clear();
-        self.order.clear();
+    /// Index a whole rule list in one pass. Each item is a rule's match,
+    /// priority and install sequence; sequences must be unique and reflect
+    /// install order.
+    pub(crate) fn build<'a>(rules: impl IntoIterator<Item = (&'a Match, u32, u64)>) -> Self {
+        let mut index = TableIndex::default();
+        for (m, priority, seq) in rules {
+            index.add(m, priority, seq);
+        }
+        let mut pins = [0usize; Field::ALL.len()];
+        for bucket in &index.buckets {
+            for f in bucket.exact_fields.iter() {
+                pins[*f as usize] += bucket.rules;
+            }
+        }
+        let mut most = 0;
+        for f in Field::ALL {
+            if pins[f as usize] > most {
+                most = pins[f as usize];
+                index.partition = Some(f);
+            }
+        }
+        for (bi, bucket) in index.buckets.iter().enumerate().take(MASK_BITS) {
+            match slot_of(&bucket.exact_fields, index.partition) {
+                Some(slot) => {
+                    for key in bucket.groups.keys() {
+                        *index.pinned.entry(key[slot]).or_default() |= 1 << bi;
+                    }
+                }
+                None => index.wild |= 1 << bi,
+            }
+        }
+        index.sort_order();
+        index
     }
 
     /// Index one rule. `seq` must be unique within the table and reflect
     /// install order (later installs get larger sequence numbers).
     pub(crate) fn insert(&mut self, m: &Match, priority: u32, seq: u64) {
+        let (bi, value) = self.add(m, priority, seq);
+        if bi < MASK_BITS {
+            match value {
+                Some(value) => *self.pinned.entry(value).or_default() |= 1 << bi,
+                None => self.wild |= 1 << bi,
+            }
+        }
+        let pos = self
+            .order
+            .iter()
+            .position(|&b| b == bi)
+            .expect("every bucket is in the probe order");
+        let ceiling = |p: usize| self.buckets[self.order[p]].max_priority;
+        if pos > 0 && ceiling(pos - 1) < ceiling(pos) {
+            self.sort_order();
+        }
+    }
+
+    /// Put one rule in its bucket, creating the bucket (last in the probe
+    /// order) if the signature is new; returns the bucket's index and the
+    /// rule's partition value, if the bucket pins the partition field.
+    /// Leaves sorting the probe order and the masks to the caller.
+    fn add(&mut self, m: &Match, priority: u32, seq: u64) -> (usize, Option<u64>) {
         let sig = m.signature();
         let bi = match self.by_sig.get(&sig) {
             Some(&i) => i,
@@ -207,6 +280,7 @@ impl TableIndex {
                 other => unreachable!("signature promised exact pattern, got {other:?}"),
             })
             .collect();
+        let value = slot_of(&bucket.exact_fields, self.partition).map(|slot| key[slot]);
         let residual: Box<[(Field, Pattern)]> = m
             .iter()
             .filter(|(f, p)| matches!(p, Pattern::Prefix(_)) && Some(**f) != bucket.primary)
@@ -249,25 +323,53 @@ impl TableIndex {
         }
         bucket.max_priority = bucket.max_priority.max(priority);
         bucket.rules += 1;
+        (bi, value)
+    }
+
+    /// Sort the probe order by descending ceiling (stably: equal ceilings
+    /// keep their order).
+    fn sort_order(&mut self) {
         let buckets = &self.buckets;
         self.order
             .sort_by(|&a, &b| buckets[b].max_priority.cmp(&buckets[a].max_priority));
     }
 
     /// The best `(priority, seq)` candidate matching `pkt`, if any rule
-    /// does. Probes buckets highest-ceiling first and stops as soon as the
-    /// running best outranks every remaining ceiling; a bucket whose
-    /// ceiling *equals* the running best must still be probed — it may hold
-    /// an equal-priority rule installed earlier.
+    /// does.
     pub(crate) fn lookup(&self, pkt: &Packet) -> Option<(u32, u64)> {
+        self.search(pkt, || {})
+    }
+
+    /// How many buckets [`lookup`](Self::lookup) probes for `pkt`.
+    pub(crate) fn probes(&self, pkt: &Packet) -> usize {
+        let mut probes = 0;
+        self.search(pkt, || probes += 1);
+        probes
+    }
+
+    /// Probe the buckets `pkt` can hit — those pinning its partition value,
+    /// those leaving the partition field wild, and every bucket past the
+    /// masks — highest ceiling first, calling `probed` before each probe.
+    /// Stops as soon as the running best outranks every remaining ceiling;
+    /// a bucket whose ceiling *equals* the running best must still be
+    /// probed — it may hold an equal-priority rule installed earlier.
+    fn search(&self, pkt: &Packet, mut probed: impl FnMut()) -> Option<(u32, u64)> {
+        let mut mask = self.wild;
+        if let Some(value) = self.partition.and_then(|f| pkt.get(f)) {
+            mask |= self.pinned.get(&value).copied().unwrap_or(0);
+        }
         let mut best: Option<(u32, u64)> = None;
         for &bi in &self.order {
+            if bi < MASK_BITS && mask & (1 << bi) == 0 {
+                continue;
+            }
             let bucket = &self.buckets[bi];
             if let Some((p, _)) = best {
                 if bucket.max_priority < p {
                     break;
                 }
             }
+            probed();
             if let Some(candidate) = bucket.lookup(pkt) {
                 if best.map(|b| better(candidate, b)).unwrap_or(true) {
                     best = Some(candidate);
@@ -275,6 +377,12 @@ impl TableIndex {
             }
         }
         best
+    }
+
+    /// The partition field chosen at the last build.
+    #[cfg(test)]
+    pub(crate) fn partition(&self) -> Option<Field> {
+        self.partition
     }
 
     /// Size counters.
@@ -285,4 +393,9 @@ impl TableIndex {
             rules: self.buckets.iter().map(|b| b.rules).sum(),
         }
     }
+}
+
+/// Where `partition` sits among a bucket's exact fields, if it is one.
+fn slot_of(exact_fields: &[Field], partition: Option<Field>) -> Option<usize> {
+    exact_fields.iter().position(|f| Some(*f) == partition)
 }

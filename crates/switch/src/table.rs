@@ -85,8 +85,10 @@ impl fmt::Display for FlowRule {
 ///
 /// Lookups go through a tuple-space index (see [`crate::index`]): rules are
 /// bucketed by match signature, exact fields are hash keys, prefix fields
-/// walk a binary trie, and buckets are probed highest-priority-first with an
-/// early exit. [`lookup_linear`](Self::lookup_linear) /
+/// walk a binary trie, and only the buckets that can hold the packet's
+/// value of the partition field (the exact field most rules pin) are
+/// probed, highest-priority-first with an early exit.
+/// [`lookup_linear`](Self::lookup_linear) /
 /// [`peek_linear`](Self::peek_linear) keep the O(n) scan as the oracle the
 /// property tests and the dataplane bench baseline measure against. Both
 /// paths share one read-only match pipeline; per-rule packet counters are
@@ -96,9 +98,10 @@ pub struct FlowTable {
     /// Sorted by (priority descending, install sequence ascending) — a total
     /// order, since sequence numbers are unique.
     rules: Vec<FlowRule>,
-    /// Install sequence of each rule, aligned with `rules`. Ascending within
+    /// `(priority, install sequence)` of each rule, aligned with `rules`:
+    /// the dense key the index names rules by. Sequences ascend within
     /// every priority band (the first-installed-wins tiebreak).
-    seqs: Vec<u64>,
+    keys: Vec<(u32, u64)>,
     /// Packets that hit each rule, aligned with `rules`.
     counters: Vec<AtomicU64>,
     next_seq: u64,
@@ -109,7 +112,7 @@ impl Clone for FlowTable {
     fn clone(&self) -> Self {
         FlowTable {
             rules: self.rules.clone(),
-            seqs: self.seqs.clone(),
+            keys: self.keys.clone(),
             counters: self
                 .counters
                 .iter()
@@ -149,7 +152,7 @@ impl FlowTable {
 
     /// The highest installed priority, if any rule is installed.
     pub fn max_priority(&self) -> Option<u32> {
-        self.rules.first().map(|r| r.priority)
+        self.keys.first().map(|k| k.0)
     }
 
     /// Size counters of the lookup index.
@@ -157,14 +160,20 @@ impl FlowTable {
         self.index.stats()
     }
 
+    /// How many index buckets a lookup of `pkt` probes (the dataplane
+    /// bench's probes-per-packet count; the lookup itself counts nothing).
+    pub fn buckets_probed(&self, pkt: &Packet) -> usize {
+        self.index.probes(pkt)
+    }
+
     /// Install a rule (stable within its priority band).
     pub fn install(&mut self, rule: FlowRule) {
-        let pos = self.rules.partition_point(|r| r.priority >= rule.priority);
+        let pos = self.keys.partition_point(|&(p, _)| p >= rule.priority);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.index.insert(&rule.match_, rule.priority, seq);
+        self.keys.insert(pos, (rule.priority, seq));
         self.rules.insert(pos, rule);
-        self.seqs.insert(pos, seq);
         self.counters.insert(pos, AtomicU64::new(0));
     }
 
@@ -175,22 +184,22 @@ impl FlowTable {
             return 0;
         }
         let mut rules = Vec::with_capacity(before);
-        let mut seqs = Vec::with_capacity(before);
+        let mut keys = Vec::with_capacity(before);
         let mut counters = Vec::with_capacity(before);
-        for ((rule, seq), counter) in self
+        for ((rule, key), counter) in self
             .rules
             .drain(..)
-            .zip(self.seqs.drain(..))
+            .zip(self.keys.drain(..))
             .zip(self.counters.drain(..))
         {
             if rule.cookie != cookie {
                 rules.push(rule);
-                seqs.push(seq);
+                keys.push(key);
                 counters.push(counter);
             }
         }
         self.rules = rules;
-        self.seqs = seqs;
+        self.keys = keys;
         self.counters = counters;
         self.rebuild_index();
         before - self.rules.len()
@@ -199,19 +208,23 @@ impl FlowTable {
     /// Remove all rules.
     pub fn clear(&mut self) {
         self.rules.clear();
-        self.seqs.clear();
+        self.keys.clear();
         self.counters.clear();
-        self.index.clear();
+        self.index = TableIndex::default();
     }
 
-    /// Rebuild the lookup index from the rule list. Insertions maintain the
-    /// index incrementally; this is the bulk path used after removals (and
-    /// by the dataplane bench to time index construction).
+    /// Rebuild the lookup index from the rule list in one pass, choosing
+    /// its partition field afresh. Insertions maintain the index
+    /// incrementally; this is the bulk path used by classifier installs
+    /// and after removals (and by the dataplane bench to time index
+    /// construction).
     pub fn rebuild_index(&mut self) {
-        self.index.clear();
-        for (i, rule) in self.rules.iter().enumerate() {
-            self.index.insert(&rule.match_, rule.priority, self.seqs[i]);
-        }
+        self.index = TableIndex::build(
+            self.rules
+                .iter()
+                .zip(&self.keys)
+                .map(|(rule, &(priority, seq))| (&rule.match_, priority, seq)),
+        );
     }
 
     /// Replace the whole table with a compiled classifier. Rule `i` of the
@@ -231,14 +244,20 @@ impl FlowTable {
     ) {
         self.clear();
         let n = u32::try_from(classifier.len()).expect("flow-table priority space exhausted");
+        // Priorities strictly descend, so classifier order is table order.
         for (i, rule) in classifier.rules().iter().enumerate() {
-            let mut fr = FlowRule::new(n - i as u32, rule.match_.clone(), rule.actions.clone())
+            let priority = n - i as u32;
+            let mut fr = FlowRule::new(priority, rule.match_.clone(), rule.actions.clone())
                 .with_cookie(cookie);
             if let (Some(t), false) = (goto, rule.is_drop()) {
                 fr = fr.with_goto(t);
             }
-            self.install(fr);
+            self.keys.push((priority, self.next_seq));
+            self.next_seq += 1;
+            self.rules.push(fr);
+            self.counters.push(AtomicU64::new(0));
         }
+        self.rebuild_index();
     }
 
     /// Remove the first installed rule whose behavior-relevant fields equal
@@ -255,7 +274,7 @@ impl FlowTable {
             return false;
         };
         self.rules.remove(pos);
-        self.seqs.remove(pos);
+        self.keys.remove(pos);
         self.counters.remove(pos);
         self.rebuild_index();
         true
@@ -291,14 +310,13 @@ impl FlowTable {
         hash
     }
 
-    /// Position of the rule identified by `(priority, seq)` — O(log n), the
-    /// rule list being totally ordered by (priority desc, seq asc).
+    /// Position of the rule identified by `(priority, seq)` — one binary
+    /// search over the dense keys, which are totally ordered by (priority
+    /// desc, seq asc).
     fn position_of(&self, priority: u32, seq: u64) -> Option<usize> {
-        let lo = self.rules.partition_point(|r| r.priority > priority);
-        let hi = lo + self.rules[lo..].partition_point(|r| r.priority >= priority);
-        let band = &self.seqs[lo..hi];
-        let off = band.partition_point(|&s| s < seq);
-        (off < band.len() && band[off] == seq).then_some(lo + off)
+        self.keys
+            .binary_search_by(|&(p, s)| priority.cmp(&p).then(s.cmp(&seq)))
+            .ok()
     }
 
     /// Indexed position of the best rule matching `pkt`.
@@ -556,5 +574,183 @@ mod tests {
         let stats = t.index_stats();
         assert_eq!(stats.rules, 3);
         assert_eq!(stats.buckets, 2); // {dstip-prefix}, {wildcard}
+    }
+
+    /// A match pinning `field` to `value` and each of `also` to 1.
+    fn pin(field: Field, value: u64, also: &[Field]) -> Match {
+        also.iter()
+            .fold(Match::on(field, Pattern::Exact(value)), |m, f| {
+                m.and(*f, Pattern::Exact(1)).unwrap()
+            })
+    }
+
+    /// Every indexed lookup of `pkts` picks the linear scan's rule.
+    fn assert_agrees(t: &FlowTable, pkts: &[Packet]) {
+        for pkt in pkts {
+            assert_eq!(t.peek(pkt), t.peek_linear(pkt), "{pkt:?}");
+        }
+    }
+
+    #[test]
+    fn port_heavy_table_partitions_on_port() {
+        let mut t = FlowTable::new();
+        for port in 1..=4u64 {
+            t.install(FlowRule::new(
+                10 + port as u32,
+                pin(Field::Port, port, &[]),
+                vec![],
+            ));
+        }
+        t.install(FlowRule::new(
+            9,
+            pin(Field::Port, 5, &[Field::DstPort]),
+            vec![],
+        ));
+        t.install(FlowRule::new(8, pin(Field::DstMac, 7, &[]), vec![]));
+        t.install(FlowRule::new(1, Match::any(), vec![]));
+        t.rebuild_index();
+        assert_eq!(t.index.partition(), Some(Field::Port));
+        // Port 5 is held by {port,dstport} only: that bucket and the two
+        // wild ones ({dstmac}, the wildcard) are probed, not {port}.
+        let pkt = Packet::new()
+            .with(Field::Port, 5u32)
+            .with(Field::DstMac, sdx_ip::MacAddr::from_u64(2));
+        assert_eq!(t.buckets_probed(&pkt), 3);
+        assert_eq!(t.peek(&pkt).unwrap().priority, 1);
+        assert_agrees(&t, &[pkt, Packet::new().with(Field::Port, 3u32)]);
+    }
+
+    #[test]
+    fn rule_installed_after_the_build_under_an_unseen_value_is_found() {
+        let mut t = FlowTable::new();
+        for mac in 1..=3u64 {
+            t.install(FlowRule::new(
+                10 + mac as u32,
+                pin(Field::DstMac, mac, &[]),
+                vec![Action::set(Field::Port, 1u32)],
+            ));
+        }
+        t.install(FlowRule::new(1, m(1), vec![]));
+        t.rebuild_index();
+        assert_eq!(t.index.partition(), Some(Field::DstMac));
+        let ceiling = t.max_priority().unwrap();
+        // A new bucket above the ceiling (the probe order changes) and one
+        // below everything (it joins the end of the order), each under a
+        // DstMac value the build never saw.
+        t.install(FlowRule::new(
+            ceiling + 1,
+            pin(Field::DstMac, 99, &[Field::DstPort]),
+            vec![Action::set(Field::Port, 2u32)],
+        ));
+        t.install(FlowRule::new(
+            0,
+            pin(Field::DstMac, 98, &[Field::SrcPort]),
+            vec![Action::set(Field::Port, 3u32)],
+        ));
+        let probe = |mac: u64, field: Field| {
+            Packet::new()
+                .with(Field::DstMac, sdx_ip::MacAddr::from_u64(mac))
+                .with(field, 1u16)
+        };
+        let high = probe(99, Field::DstPort);
+        let low = probe(98, Field::SrcPort);
+        assert_eq!(t.peek(&high).unwrap().priority, ceiling + 1);
+        assert_eq!(t.peek(&low).unwrap().priority, 0);
+        assert_agrees(&t, &[high, low, probe(2, Field::DstPort)]);
+    }
+
+    #[test]
+    fn buckets_past_the_mask_width_agree_with_linear() {
+        // Every subset of six fields, each pinned with DstMac: 64 buckets,
+        // plus a wild one — more buckets than the per-value masks cover.
+        let others = [
+            Field::Port,
+            Field::SrcMac,
+            Field::EthType,
+            Field::IpProto,
+            Field::SrcPort,
+            Field::DstPort,
+        ];
+        let mut t = FlowTable::new();
+        for subset in 0..64u32 {
+            let also: Vec<Field> = (0..others.len())
+                .filter(|i| subset & (1 << i) != 0)
+                .map(|i| others[i])
+                .collect();
+            for mac in 1..=2u64 {
+                t.install(FlowRule::new(
+                    1 + subset * 2 + mac as u32,
+                    pin(Field::DstMac, mac, &also),
+                    vec![Action::set(Field::Port, subset)],
+                ));
+            }
+        }
+        t.install(FlowRule::new(
+            0,
+            Match::on(Field::SrcIp, Pattern::Prefix("10.0.0.0/8".parse().unwrap())),
+            vec![],
+        ));
+        t.rebuild_index();
+        assert_eq!(t.index_stats().buckets, 65);
+        // Fragments after the build: {dstmac} moves to the front of the
+        // probe order, and a new bucket past the masks lands above it,
+        // under a DstMac value the build never saw.
+        let ceiling = t.max_priority().unwrap();
+        t.install(FlowRule::new(
+            ceiling + 1,
+            pin(Field::DstMac, 1, &[]),
+            vec![],
+        ));
+        t.install(FlowRule::new(
+            ceiling + 2,
+            pin(Field::DstMac, 3, &[])
+                .and(Field::DstIp, Pattern::Prefix("10.0.0.0/8".parse().unwrap()))
+                .unwrap(),
+            vec![],
+        ));
+        let past = Packet::new()
+            .with(Field::DstMac, sdx_ip::MacAddr::from_u64(3))
+            .with(Field::DstIp, std::net::Ipv4Addr::new(10, 0, 0, 1));
+        assert_eq!(t.peek(&past).unwrap().priority, ceiling + 2);
+        let mut pkts = Vec::new();
+        for subset in 0..64u32 {
+            for mac in 1..=4u64 {
+                let mut pkt = Packet::new()
+                    .with(Field::DstMac, sdx_ip::MacAddr::from_u64(mac))
+                    .with(Field::SrcIp, std::net::Ipv4Addr::new(10, 0, 0, 1));
+                for (i, f) in others.iter().enumerate() {
+                    if subset & (1 << i) != 0 {
+                        pkt.set(*f, 1u64);
+                    }
+                }
+                pkts.push(pkt);
+            }
+        }
+        assert!(pkts.iter().any(|p| t.peek(p).unwrap().priority == 0));
+        pkts.push(past);
+        assert_agrees(&t, &pkts);
+    }
+
+    #[test]
+    fn packet_without_the_partition_field_probes_only_wild_buckets() {
+        let mut t = FlowTable::new();
+        for mac in 1..=5u64 {
+            t.install(FlowRule::new(10, pin(Field::DstMac, mac, &[]), vec![]));
+            t.install(FlowRule::new(
+                9,
+                pin(Field::DstMac, mac, &[Field::Port]),
+                vec![],
+            ));
+        }
+        t.install(FlowRule::new(2, m(7), vec![]));
+        t.install(FlowRule::new(1, pin(Field::DstPort, 7, &[]), vec![]));
+        t.rebuild_index();
+        assert_eq!(t.index_stats().buckets, 4);
+        let pkt = Packet::new()
+            .with(Field::Port, 1u32)
+            .with(Field::DstPort, 1u16);
+        assert_eq!(t.buckets_probed(&pkt), 2);
+        assert!(t.peek(&pkt).is_none());
+        assert_agrees(&t, &[pkt]);
     }
 }

@@ -2,8 +2,10 @@
 //! the indexed lookup must be bit-identical to the linear-scan oracle —
 //! same chosen rule and same packet counters — across randomized rule sets
 //! with overlapping prefixes, shadowed rules, and mid-stream installs
-//! (including fast-path bands above the live ceiling), removals, and
-//! clears.
+//! (including fast-path bands above the live ceiling), removals, clears
+//! and index rebuilds. Most rules pin one of a few DstMac values, as SDX
+//! rules pin their VMAC tag, so the index partitions on DstMac and the
+//! installs after a rebuild land in a partitioned index.
 
 use proptest::prelude::*;
 use sdx_policy::{Action, Field, Match, Packet, Pattern};
@@ -32,9 +34,16 @@ const ADDRS: &[[u8; 4]] = &[
     [200, 1, 1, 1],
 ];
 
+/// The DstMac values rules pin: few, as VMAC tags are per FEC, so that
+/// most buckets share them.
+const MACS: [u64; 3] = [0x0a00_0000_0001, 0x0a00_0000_0002, 0x0a00_0000_0003];
+/// A DstMac value no rule pins.
+const UNPINNED_MAC: u64 = 0x0a00_0000_00ff;
+
 /// A compact rule-match spec: optional DstIp prefix, optional SrcIp prefix,
-/// optional exact DstPort, optional exact ingress Port.
-type MatchSpec = (Option<u8>, Option<u8>, Option<u8>, Option<u8>);
+/// optional exact DstPort, optional exact ingress Port, optional exact
+/// DstMac (an index into `MACS`).
+type MatchSpec = (Option<u8>, Option<u8>, Option<u8>, Option<u8>, Option<u8>);
 
 fn build_match(spec: &MatchSpec) -> Match {
     let mut m = Match::any();
@@ -54,6 +63,11 @@ fn build_match(spec: &MatchSpec) -> Match {
     if let Some(v) = spec.3 {
         m = m.and(Field::Port, Pattern::Exact((v % 3) as u64)).unwrap();
     }
+    if let Some(i) = spec.4 {
+        m = m
+            .and(Field::DstMac, Pattern::Exact(MACS[i as usize % MACS.len()]))
+            .unwrap();
+    }
     m
 }
 
@@ -69,6 +83,8 @@ enum Op {
     RemoveCookie(u64),
     /// Drop everything.
     Clear,
+    /// Rebuild the index in one pass (choosing its partition field).
+    Rebuild,
 }
 
 fn arb_spec() -> impl Strategy<Value = MatchSpec> {
@@ -77,12 +93,22 @@ fn arb_spec() -> impl Strategy<Value = MatchSpec> {
         prop::option::of(any::<u8>()),
         prop::option::of(any::<u8>()),
         prop::option::of(any::<u8>()),
+        // Three in four rules pin a DstMac; the rest leave it wild.
+        prop::option::of(0..MACS.len() as u8),
     )
+}
+
+/// The probes' DstMac: each pinned value, a value no rule pins, and none.
+fn probe_macs() -> impl Iterator<Item = Option<u64>> {
+    MACS.into_iter()
+        .chain([UNPINNED_MAC])
+        .map(Some)
+        .chain([None])
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     // Installs dominate (several arms), with occasional bands above the
-    // ceiling, cookie removals, and clears mixed in.
+    // ceiling, cookie removals, clears and index rebuilds mixed in.
     prop_oneof![
         (0u32..6, arb_spec()).prop_map(|(p, s)| Op::Install(p, s)),
         (0u32..6, arb_spec()).prop_map(|(p, s)| Op::Install(p, s)),
@@ -92,6 +118,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         prop::collection::vec(arb_spec(), 1..4).prop_map(Op::Append),
         (0u64..40).prop_map(Op::RemoveCookie),
         Just(Op::Clear),
+        Just(Op::Rebuild),
+        Just(Op::Rebuild),
     ]
 }
 
@@ -152,6 +180,10 @@ proptest! {
                     indexed.clear();
                     oracle.clear();
                 }
+                Op::Rebuild => {
+                    indexed.rebuild_index();
+                    oracle.rebuild_index();
+                }
             }
 
             // Probe after every mutation: the index must track the table
@@ -160,14 +192,19 @@ proptest! {
             for dst in ADDRS {
                 for dport in 0u64..4 {
                     for port in [0u64, 2] {
-                        let pkt = Packet::new()
-                            .with(Field::Port, port as u32)
-                            .with(Field::SrcIp, std::net::Ipv4Addr::from(src))
-                            .with(Field::DstIp, std::net::Ipv4Addr::from(*dst))
-                            .with(Field::DstPort, dport as u16);
-                        let a = indexed.lookup(&pkt);
-                        let b = oracle.lookup_linear(&pkt);
-                        prop_assert_eq!(a, b, "probe {:?}", pkt);
+                        for mac in probe_macs() {
+                            let mut pkt = Packet::new()
+                                .with(Field::Port, port as u32)
+                                .with(Field::SrcIp, std::net::Ipv4Addr::from(src))
+                                .with(Field::DstIp, std::net::Ipv4Addr::from(*dst))
+                                .with(Field::DstPort, dport as u16);
+                            if let Some(mac) = mac {
+                                pkt.set(Field::DstMac, mac);
+                            }
+                            let a = indexed.lookup(&pkt);
+                            let b = oracle.lookup_linear(&pkt);
+                            prop_assert_eq!(a, b, "probe {:?}", pkt);
+                        }
                     }
                 }
             }

@@ -5,9 +5,11 @@
 //! randomized churn of installs, fast-path bands above the live ceiling,
 //! cookie removals, delta-plan mutations (single installs above the current
 //! ceiling and content-based `remove_matching` retirements, the update
-//! planner's rule vocabulary), and clears applied through the single-writer
-//! path between batches. The serial (dedicated-core measurement) mode must
-//! agree with the parallel fork-join mode as well.
+//! planner's rule vocabulary), clears and index rebuilds applied through
+//! the single-writer path between batches. Most rules pin one of a few
+//! DstMac values (the VMAC tag), so the index runs partitioned. The serial
+//! (dedicated-core measurement) mode must agree with the parallel
+//! fork-join mode as well.
 
 use proptest::prelude::*;
 use sdx_policy::{Action, Field, Match, Packet, Pattern};
@@ -34,8 +36,14 @@ const ADDRS: &[[u8; 4]] = &[
     [200, 1, 1, 1],
 ];
 
-/// Optional DstIp prefix, SrcIp prefix, exact DstPort, exact ingress Port.
-type MatchSpec = (Option<u8>, Option<u8>, Option<u8>, Option<u8>);
+/// The DstMac values rules pin (VMAC tags: few, shared across buckets).
+const MACS: [u64; 3] = [0x0a00_0000_0001, 0x0a00_0000_0002, 0x0a00_0000_0003];
+/// A DstMac value no rule pins.
+const UNPINNED_MAC: u64 = 0x0a00_0000_00ff;
+
+/// Optional DstIp prefix, SrcIp prefix, exact DstPort, exact ingress Port,
+/// exact DstMac (an index into `MACS`).
+type MatchSpec = (Option<u8>, Option<u8>, Option<u8>, Option<u8>, Option<u8>);
 
 fn build_match(spec: &MatchSpec) -> Match {
     let mut m = Match::any();
@@ -54,6 +62,11 @@ fn build_match(spec: &MatchSpec) -> Match {
     }
     if let Some(v) = spec.3 {
         m = m.and(Field::Port, Pattern::Exact((v % 3) as u64)).unwrap();
+    }
+    if let Some(i) = spec.4 {
+        m = m
+            .and(Field::DstMac, Pattern::Exact(MACS[i as usize % MACS.len()]))
+            .unwrap();
     }
     m
 }
@@ -75,6 +88,8 @@ enum Op {
     RemoveMatching(u8),
     /// Drop everything.
     Clear,
+    /// Rebuild the index in one pass (choosing its partition field).
+    Rebuild,
 }
 
 fn arb_spec() -> impl Strategy<Value = MatchSpec> {
@@ -83,7 +98,17 @@ fn arb_spec() -> impl Strategy<Value = MatchSpec> {
         prop::option::of(any::<u8>()),
         prop::option::of(any::<u8>()),
         prop::option::of(any::<u8>()),
+        // Three in four rules pin a DstMac; the rest leave it wild.
+        prop::option::of(0..MACS.len() as u8),
     )
+}
+
+/// The probes' DstMac: each pinned value, a value no rule pins, and none.
+fn probe_macs() -> impl Iterator<Item = Option<u64>> {
+    MACS.into_iter()
+        .chain([UNPINNED_MAC])
+        .map(Some)
+        .chain([None])
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -98,6 +123,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(Op::RemoveMatching),
         any::<u8>().prop_map(Op::RemoveMatching),
         Just(Op::Clear),
+        Just(Op::Rebuild),
+        Just(Op::Rebuild),
     ]
 }
 
@@ -165,24 +192,32 @@ fn apply_op(sw: &mut SoftSwitch, op: &Op, next_cookie: &mut u64) {
         Op::Clear => {
             sw.table_mut().clear();
         }
+        Op::Rebuild => {
+            sw.table_mut().rebuild_index();
+        }
     }
 }
 
 /// The probe batch: a spread of flows across the prefix chains, DstPorts,
-/// and ingress ports (including a bad-ingress one).
+/// ingress ports (including a bad-ingress one) and DstMacs (pinned,
+/// unpinned, absent).
 fn probe_batch(src_pick: u8) -> Vec<Packet> {
     let src = ADDRS[src_pick as usize % ADDRS.len()];
     let mut pkts = Vec::new();
     for dst in ADDRS {
         for dport in 0u16..4 {
             for port in [0u32, 2, 7] {
-                pkts.push(
-                    Packet::new()
+                for mac in probe_macs() {
+                    let mut pkt = Packet::new()
                         .with(Field::Port, port)
                         .with(Field::SrcIp, std::net::Ipv4Addr::from(src))
                         .with(Field::DstIp, std::net::Ipv4Addr::from(*dst))
-                        .with(Field::DstPort, dport),
-                );
+                        .with(Field::DstPort, dport);
+                    if let Some(mac) = mac {
+                        pkt.set(Field::DstMac, mac);
+                    }
+                    pkts.push(pkt);
+                }
             }
         }
     }
