@@ -117,7 +117,11 @@ grep -q '"shards":4' "$smoke_dir/dp4.json" || {
 }
 
 echo "== sdx-lint scenarios"
-target/release/sdx-lint --quiet --verify scenarios/figure1.sdx
+# Valid policies must lint clean. plan-leak.sdx stacks a BGP-filtered clause
+# above an unfiltered one with the same match: the filtered clause catches
+# only what its target exports, so the unfiltered one below it is live.
+target/release/sdx-lint --quiet --verify scenarios/figure1.sdx \
+    scenarios/plan-leak.sdx scenarios/delta-inconsistent.sdx
 for s in scenarios/lint-*.sdx; do
     # Seeded-defect fixtures must be flagged (exit 1) — not crash (exit 2+).
     # --verify runs the reachability passes too: lint-isolation.sdx is clean

@@ -66,7 +66,7 @@ fn check_outbound(
         return;
     };
 
-    if clause.exports_match == Some(false) {
+    if clause.effective.as_ref().is_some_and(|set| set.is_empty()) {
         out.push(Diagnostic {
             severity: Severity::Error,
             pass: PassKind::Conflict,
@@ -205,7 +205,7 @@ mod tests {
             dest: ClauseDest::Participant(to),
             rewrites: Vec::new(),
             unfiltered: false,
-            exports_match: Some(true),
+            effective: Some(std::iter::once("0.0.0.0/0".parse().unwrap()).collect()),
         }
     }
 
@@ -215,7 +215,7 @@ mod tests {
             dest: ClauseDest::Drop,
             rewrites: Vec::new(),
             unfiltered: false,
-            exports_match: None,
+            effective: None,
         }
     }
 
@@ -271,7 +271,7 @@ mod tests {
             dest: ClauseDest::OwnPort(2),
             rewrites: Vec::new(),
             unfiltered: false,
-            exports_match: None,
+            effective: None,
         });
         b.inbound.push(drop_clause(vec![Match::any()]));
         let out = analyze_two(a, b);
@@ -309,7 +309,7 @@ mod tests {
     fn peer_without_matching_route_is_flagged() {
         let mut a = participant(1, vec![1]);
         let mut c = fwd(vec![m_port(80)], 2);
-        c.exports_match = Some(false);
+        c.effective = Some(Default::default());
         a.outbound.push(c);
         let b = participant(2, vec![2]);
         let out = analyze_two(a, b);
@@ -323,7 +323,7 @@ mod tests {
         let mut a = participant(1, vec![1]);
         let mut c = fwd(vec![m_port(80)], 2);
         c.unfiltered = true;
-        c.exports_match = None;
+        c.effective = None;
         a.outbound.push(c);
         // Remote participant: no ports; inbound only catches port 443.
         let mut b = participant(2, Vec::new());
@@ -332,7 +332,7 @@ mod tests {
             dest: ClauseDest::BgpDefault,
             rewrites: Vec::new(),
             unfiltered: false,
-            exports_match: None,
+            effective: None,
         });
         let out = analyze_two(a, b);
         assert_eq!(

@@ -33,6 +33,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::net::Ipv4Addr;
 
+use sdx_ip::PrefixSet;
 use sdx_policy::{Classifier, Field, Match, Packet};
 use serde::{Deserialize, Serialize};
 
@@ -45,7 +46,9 @@ pub mod shadow;
 pub mod vnh;
 
 pub use diff::{DiffReport, DiffSide};
-pub use reach::{FibEntry, FibModel, GroupBinding, ReachReport, ReachTimes, VerifyInput};
+pub use reach::{
+    EmissionKey, FibEntry, FibModel, GroupBinding, ReachReport, ReachTimes, VerifyInput,
+};
 
 /// When the controller runs the analyzer, and what it does with errors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -249,10 +252,12 @@ pub struct ClauseInfo {
     pub rewrites: Vec<(Field, u64)>,
     /// Whether the clause bypasses the BGP-consistency filter.
     pub unfiltered: bool,
-    /// For a filtered clause towards a participant: does the target export
-    /// at least one in-scope prefix to the author? `None` when the question
-    /// does not apply (drop/own-port/unfiltered) or was not computed.
-    pub exports_match: Option<bool>,
+    /// For a BGP-filtered outbound clause towards a participant, its
+    /// effective set: the in-scope prefixes the target exports to the
+    /// author. The clause catches only traffic towards these; the rest
+    /// falls through to later clauses. `None` when no filter applies (drop,
+    /// own port, BGP default, unfiltered, inbound).
+    pub effective: Option<PrefixSet>,
 }
 
 /// A participant, reduced to what the passes need.

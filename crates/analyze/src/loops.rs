@@ -196,7 +196,7 @@ mod tests {
             dest: ClauseDest::Participant(to),
             rewrites: Vec::new(),
             unfiltered: false,
-            exports_match: None,
+            effective: None,
         }
     }
 

@@ -23,7 +23,7 @@
 //! sender's border router would emit it). Per-sender injections are
 //! independent, so the fan-out runs on the crossbeam worker pool.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::time::Instant;
 
@@ -67,6 +67,9 @@ pub struct GroupBinding {
     pub vmac: u64,
 }
 
+/// One emission key: a sender, one of its fabric ports, and a VMAC tag.
+pub type EmissionKey = (u32, u32, u64);
+
 /// Everything the reachability verifier reads.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyInput {
@@ -88,6 +91,38 @@ pub struct VerifyInput {
 }
 
 impl VerifyInput {
+    /// The physical ports of `participant` (empty when it has none).
+    fn ports_of(&self, participant: u32) -> &[u32] {
+        self.participants
+            .iter()
+            .find(|(id, _)| *id == participant)
+            .map_or(&[], |(_, ports)| ports)
+    }
+
+    /// The emission map every gate injects from: each (sender, port, tag)
+    /// its border router emits, with the destinations its FIB tags with
+    /// that tag. A sender emits every tag from each of its ports; an entry
+    /// with no resolved MAC emits nothing.
+    pub fn emissions(&self) -> BTreeMap<EmissionKey, BTreeSet<Prefix>> {
+        let mut out: BTreeMap<EmissionKey, BTreeSet<Prefix>> = BTreeMap::new();
+        for fib in &self.fibs {
+            let mut by_tag: BTreeMap<u64, Vec<Prefix>> = BTreeMap::new();
+            for e in &fib.entries {
+                if let Some(mac) = e.mac {
+                    by_tag.entry(mac).or_default().push(e.prefix);
+                }
+            }
+            for port in self.ports_of(fib.participant) {
+                for (tag, prefixes) in &by_tag {
+                    out.entry((fib.participant, *port, *tag))
+                        .or_default()
+                        .extend(prefixes);
+                }
+            }
+        }
+        out
+    }
+
     /// The owner of a physical port.
     pub fn port_owner(&self, port: u64) -> Option<u32> {
         self.participants
@@ -137,39 +172,6 @@ fn duration_us(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// One sender-side injection: everything the sender's router emits with one
-/// destination-MAC tag, from one of its fabric ports.
-#[derive(Debug, Clone)]
-struct Injection {
-    sender: u32,
-    port: u32,
-    mac: u64,
-    /// The prefixes the router tags with `mac` — the producible DstIp space.
-    prefixes: Vec<Prefix>,
-}
-
-/// The injections of one sender: its FIB entries grouped by resolved tag.
-fn injections_for(fib: &FibModel, ports: &[u32]) -> Vec<Injection> {
-    let mut by_mac: BTreeMap<u64, Vec<Prefix>> = BTreeMap::new();
-    for e in &fib.entries {
-        if let Some(mac) = e.mac {
-            by_mac.entry(mac).or_default().push(e.prefix);
-        }
-    }
-    let mut out = Vec::new();
-    for port in ports {
-        for (mac, prefixes) in &by_mac {
-            out.push(Injection {
-                sender: fib.participant,
-                port: *port,
-                mac: *mac,
-                prefixes: prefixes.clone(),
-            });
-        }
-    }
-    out
-}
-
 /// The sub-region of `region` whose destinations fall in `prefix`, if any.
 fn restrict_to_prefix(region: &Region, prefix: &Prefix) -> Option<Region> {
     region.intersect_match(&Match::on(Field::DstIp, Pattern::Prefix(*prefix)))
@@ -178,22 +180,25 @@ fn restrict_to_prefix(region: &Region, prefix: &Prefix) -> Option<Region> {
 /// First producible witness: `region` restricted to any of the injection's
 /// taggable prefixes. `None` means the region holds no packet the sender's
 /// router would actually emit (vacuous — not reported).
-fn producible_witness(region: &Region, prefixes: &[Prefix]) -> Option<Packet> {
+fn producible_witness(region: &Region, prefixes: &BTreeSet<Prefix>) -> Option<Packet> {
     prefixes
         .iter()
         .find_map(|p| restrict_to_prefix(region, p).and_then(|r| r.witness()))
 }
 
-/// Findings of one injection's traversal.
+/// Findings of one injection's traversal: everything `sender`'s router
+/// emits from `port` under the tag `mac`, towards `prefixes` (the
+/// producible DstIp space).
 fn check_injection(
     input: &VerifyInput,
-    inj: &Injection,
+    (sender, port, mac): EmissionKey,
+    prefixes: &BTreeSet<Prefix>,
     times: &mut ReachTimes,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let region = Region::from_match(
-        Match::on(Field::Port, Pattern::Exact(inj.port as u64))
-            .and(Field::DstMac, Pattern::Exact(inj.mac))
+        Match::on(Field::Port, Pattern::Exact(port as u64))
+            .and(Field::DstMac, Pattern::Exact(mac))
             .expect("distinct fields"),
     );
 
@@ -214,9 +219,9 @@ fn check_injection(
             message: format!(
                 "P{} port {} tag {:#x}: symbolic transit exceeded {} regions; \
                  reachability left unverified for this injection",
-                inj.sender, inj.port, inj.mac, TRANSIT_REGION_LIMIT
+                sender, port, mac, TRANSIT_REGION_LIMIT
             ),
-            participant: Some(inj.sender),
+            participant: Some(sender),
             clause: None,
             witness: None,
         });
@@ -237,10 +242,10 @@ fn check_injection(
         };
         let entitled = input
             .advertised
-            .get(&(receiver, inj.sender))
+            .get(&(receiver, sender))
             .cloned()
             .unwrap_or_default();
-        for prefix in &inj.prefixes {
+        for prefix in prefixes {
             if entitled.contains(prefix) {
                 continue;
             }
@@ -253,16 +258,9 @@ fn check_injection(
                         message: format!(
                             "traffic from P{} for {} is delivered to P{} (port {}, rule {}), \
                              but P{} never advertised {} to P{} via the route server",
-                            inj.sender,
-                            prefix,
-                            receiver,
-                            egress,
-                            rule,
-                            receiver,
-                            prefix,
-                            inj.sender
+                            sender, prefix, receiver, egress, rule, receiver, prefix, sender
                         ),
-                        participant: Some(inj.sender),
+                        participant: Some(sender),
                         clause: None,
                         witness: Some(witness),
                     });
@@ -279,7 +277,7 @@ fn check_injection(
         if !drop.catch_all {
             continue; // explicit policy drop: the policy said so.
         }
-        if let Some(witness) = producible_witness(&drop.region, &inj.prefixes) {
+        if let Some(witness) = producible_witness(&drop.region, prefixes) {
             out.push(Diagnostic {
                 severity: Severity::Error,
                 pass: PassKind::Blackhole,
@@ -288,9 +286,9 @@ fn check_injection(
                     "traffic from P{} tagged {:#x} falls through to table {}'s \
                      catch-all: admitted by the fabric but neither policy-dropped \
                      nor delivered to a physical port",
-                    inj.sender, inj.mac, table
+                    sender, mac, table
                 ),
-                participant: Some(inj.sender),
+                participant: Some(sender),
                 clause: None,
                 witness: Some(witness),
             });
@@ -304,7 +302,7 @@ fn check_injection(
         if !vport_exit {
             continue;
         }
-        if let Some(witness) = producible_witness(&o.flow.region, &inj.prefixes) {
+        if let Some(witness) = producible_witness(&o.flow.region, prefixes) {
             out.push(Diagnostic {
                 severity: Severity::Error,
                 pass: PassKind::Blackhole,
@@ -312,12 +310,12 @@ fn check_injection(
                 message: format!(
                     "traffic from P{} tagged {:#x} leaves the pipeline at rule {} \
                      without reaching a physical port (egress {:?})",
-                    inj.sender,
-                    inj.mac,
+                    sender,
+                    mac,
                     rule,
                     o.flow.acc.get(Field::Port)
                 ),
-                participant: Some(inj.sender),
+                participant: Some(sender),
                 clause: None,
                 witness: Some(witness),
             });
@@ -365,13 +363,11 @@ fn check_vnh(input: &VerifyInput) -> Vec<Diagnostic> {
     // Every FIB entry for a grouped prefix must carry the group's VNH and
     // resolve to its VMAC.
     for fib in &input.fibs {
-        let ports: Vec<u32> = input
-            .participants
-            .iter()
-            .find(|(id, _)| *id == fib.participant)
-            .map(|(_, p)| p.clone())
-            .unwrap_or_default();
-        let port = ports.first().copied().unwrap_or(0);
+        let port = input
+            .ports_of(fib.participant)
+            .first()
+            .copied()
+            .unwrap_or(0);
         for e in &fib.entries {
             let Some((gid, group)) = input
                 .groups
@@ -451,30 +447,18 @@ fn check_vnh(input: &VerifyInput) -> Vec<Diagnostic> {
     out
 }
 
-/// Run the three reachability invariants over `input`, fanning per-sender
-/// injections out over `threads` workers. Deterministic: diagnostics come
-/// back in (sender, port, tag) order regardless of the worker count, and
-/// the timings are the only thread-count-dependent output.
+/// Run the three reachability invariants over `input`, one injection per
+/// [`VerifyInput::emissions`] key, fanned out over `threads` workers.
+/// Deterministic: diagnostics come back in (sender, port, tag) order
+/// regardless of the worker count, and the timings are the only
+/// thread-count-dependent output.
 pub fn run(input: &VerifyInput, threads: usize) -> ReachReport {
     let mut report = ReachReport::default();
 
-    let injections: Vec<Injection> = input
-        .fibs
-        .iter()
-        .flat_map(|fib| {
-            let ports = input
-                .participants
-                .iter()
-                .find(|(id, _)| *id == fib.participant)
-                .map(|(_, p)| p.clone())
-                .unwrap_or_default();
-            injections_for(fib, &ports)
-        })
-        .collect();
-
-    let worker = |inj: Injection| {
+    let injections: Vec<_> = input.emissions().into_iter().collect();
+    let worker = |(key, prefixes)| {
         let mut times = ReachTimes::default();
-        let diags = check_injection(input, &inj, &mut times);
+        let diags = check_injection(input, key, &prefixes, &mut times);
         (diags, times)
     };
     let results: Vec<(Vec<Diagnostic>, ReachTimes)> = if threads <= 1 || injections.len() < 2 {

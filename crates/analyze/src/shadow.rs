@@ -6,6 +6,11 @@
 //! case (`0.0.0.0/1` plus `128.0.0.0/1` together shadow everything below
 //! them); [`sdx_policy::witness_outside`] decides the union case exactly.
 //!
+//! A BGP-filtered clause catches only its match restricted to its
+//! effective set's destinations; the rest falls through to later clauses.
+//! So that restriction is both what the clause covers and what must be
+//! covered for it to be dead.
+//!
 //! Clause-level shadows are **errors**: a participant wrote policy that can
 //! never take effect, which almost always means the clause order or the
 //! matches are wrong. Rule-level shadows in the compiled stages are
@@ -13,9 +18,9 @@
 //! (the optimizer already removes the single-rule cases), but the finding
 //! is still worth surfacing.
 
-use sdx_policy::{shadowed_rules, witness_outside, Classifier, Match};
+use sdx_policy::{shadowed_rules, witness_outside, Classifier, Field, Match, Pattern};
 
-use crate::{AnalysisInput, Diagnostic, Direction, PassKind, Severity};
+use crate::{AnalysisInput, ClauseInfo, Diagnostic, Direction, PassKind, Severity};
 
 /// Run the pass.
 pub fn run(input: &AnalysisInput, out: &mut Vec<Diagnostic>) {
@@ -30,17 +35,17 @@ pub fn run(input: &AnalysisInput, out: &mut Vec<Diagnostic>) {
 fn check_clauses(
     participant: u32,
     dir: Direction,
-    clauses: &[crate::ClauseInfo],
+    clauses: &[ClauseInfo],
     out: &mut Vec<Diagnostic>,
 ) {
     let mut earlier: Vec<Match> = Vec::new();
     for (i, clause) in clauses.iter().enumerate() {
-        // A clause whose own region is empty (a False predicate) is vacuous
-        // regardless of ordering — report it as dead too, but only when
-        // something earlier exists is it a *shadow*.
-        let covered = !clause.matches.is_empty()
-            && clause
-                .matches
+        // A clause that catches nothing (a False predicate, or an empty
+        // effective set, which the conflict pass reports) is vacuous, not
+        // shadowed.
+        let caught = caught(clause);
+        let covered = !caught.is_empty()
+            && caught
                 .iter()
                 .all(|m| witness_outside(m, &earlier).is_none());
         if covered && !earlier.is_empty() {
@@ -56,8 +61,22 @@ fn check_clauses(
                 witness: None,
             });
         }
-        earlier.extend(clause.matches.iter().cloned());
+        earlier.extend(caught);
     }
+}
+
+/// The traffic a clause catches: its matches, restricted to its effective
+/// set's destinations when it is BGP-filtered.
+fn caught(clause: &ClauseInfo) -> Vec<Match> {
+    let Some(effective) = &clause.effective else {
+        return clause.matches.clone();
+    };
+    let to = |p: &sdx_ip::Prefix| Match::on(Field::DstIp, Pattern::Prefix(*p));
+    clause
+        .matches
+        .iter()
+        .flat_map(|m| effective.iter().filter_map(|p| m.intersect(&to(p))))
+        .collect()
 }
 
 fn check_table(name: &str, table: &Classifier, out: &mut Vec<Diagnostic>) {
@@ -80,8 +99,8 @@ fn check_table(name: &str, table: &Classifier, out: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClauseDest, ClauseInfo, ParticipantInfo};
-    use sdx_policy::{Field, Pattern};
+    use crate::{ClauseDest, ParticipantInfo};
+    use sdx_ip::PrefixSet;
 
     fn clause(matches: Vec<Match>, dest: ClauseDest) -> ClauseInfo {
         ClauseInfo {
@@ -89,7 +108,7 @@ mod tests {
             dest,
             rewrites: Vec::new(),
             unfiltered: false,
-            exports_match: None,
+            effective: None,
         }
     }
 
@@ -159,6 +178,36 @@ mod tests {
         let mut out = Vec::new();
         run(&input, &mut out);
         assert!(out.iter().all(|d| d.code != "shadowed-clause"), "{out:?}");
+    }
+
+    #[test]
+    fn filtered_clause_covers_only_its_effective_set() {
+        // scenarios/plan-leak.sdx: web traffic goes via B, which exports
+        // only 20.0.0.0/8 to the author; the rest of it falls through to the
+        // unfiltered clause towards D, which is therefore live.
+        let web = Match::on(Field::DstPort, Pattern::Exact(80));
+        let only = |s: &str| -> PrefixSet { std::iter::once(s.parse().unwrap()).collect() };
+        let mut via_b = clause(vec![web.clone()], ClauseDest::Participant(2));
+        via_b.effective = Some(only("20.0.0.0/8"));
+        // A filtered clause towards C, which exports the same 20.0.0.0/8,
+        // catches nothing B's clause does not (scenarios/lint-shadow.sdx).
+        let mut via_c = clause(vec![web.clone()], ClauseDest::Participant(3));
+        via_c.effective = Some(only("20.0.0.0/8"));
+        let mut to_d = clause(vec![web], ClauseDest::Participant(4));
+        to_d.unfiltered = true;
+        let input = AnalysisInput {
+            participants: vec![participant(1, vec![via_b, via_c, to_d])],
+            vport_base: 1_000_000,
+            ..Default::default()
+        };
+        let mut out = Vec::new();
+        run(&input, &mut out);
+        let dead: Vec<_> = out
+            .iter()
+            .filter(|d| d.code == "shadowed-clause")
+            .map(|d| d.clause)
+            .collect();
+        assert_eq!(dead, vec![Some((Direction::Outbound, 1))], "{out:?}");
     }
 
     #[test]

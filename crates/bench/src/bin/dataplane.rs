@@ -4,7 +4,8 @@
 //! plane against the single-threaded linear-scan baseline, and emit
 //! `BENCH_dataplane.json` (aggregate + wall packets/sec, scaling
 //! efficiency, packets-per-sample, rule/bucket counts, index buckets
-//! probed per packet, index build time).
+//! probed per packet, index build time — the median of 21 rebuilds after
+//! a warm-up).
 //!
 //! **Aggregate throughput model.** Shards are executed *serially* with
 //! per-shard busy-time instrumentation (`process_batch_serial_into`);
@@ -32,7 +33,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use sdx_bench::{bench_json_path, build_sdx, quick_mode, write_bench_json, Record};
+use sdx_bench::{bench_json_path, build_sdx, percentile, quick_mode, write_bench_json, Record};
 use sdx_bgp::{AsPath, Asn, ExportPolicy, PathAttributes};
 use sdx_core::{
     Clause, CompileOptions, FabricSim, Participant, ParticipantId, ParticipantPolicy, PortConfig,
@@ -84,11 +85,20 @@ fn main() {
         let frames = build_frames(&sdx, &topology, if quick { 256 } else { 1024 });
         assert!(!frames.is_empty(), "no routable traffic generated");
 
-        // Index construction cost, measured on a copy of the installed table.
+        // Index construction cost, measured on a copy of the installed
+        // table: the median of 21 rebuilds after one warm-up (one cold
+        // rebuild varied by 1.5x run to run).
         let mut table = sdx.switch().table().clone();
-        let start = Instant::now();
         table.rebuild_index();
-        let index_build_us = start.elapsed().as_micros() as u64;
+        let mut builds: Vec<u64> = (0..21)
+            .map(|_| {
+                let start = Instant::now();
+                table.rebuild_index();
+                start.elapsed().as_micros() as u64
+            })
+            .collect();
+        builds.sort_unstable();
+        let index_build_us = percentile(&builds, 0.5);
 
         let rules = sdx.switch().total_rules();
         let stats = sdx.switch().index_stats();

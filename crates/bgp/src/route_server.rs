@@ -405,23 +405,6 @@ impl RouteServer {
             .copied()
             .collect()
     }
-
-    /// The re-advertisement (Adj-RIB-Out entry) of `for_peer`'s best route
-    /// for `prefix`, with an optional next-hop override — the hook the SDX
-    /// uses to substitute virtual next hops (§4.2).
-    pub fn advertisement(
-        &self,
-        prefix: &Prefix,
-        for_peer: PeerId,
-        next_hop_override: Option<Ipv4Addr>,
-    ) -> Option<Update> {
-        let best = self.best_route(prefix, for_peer)?;
-        let mut attrs = best.route.attrs.clone();
-        if let Some(nh) = next_hop_override {
-            attrs = attrs.with_next_hop(nh);
-        }
-        Some(Update::announce([*prefix], attrs))
-    }
 }
 
 #[cfg(test)]
@@ -600,23 +583,6 @@ mod tests {
         assert_eq!(got.len(), 4);
         let none: AsPathPattern = ".*9$".parse().unwrap();
         assert!(rs.filter_as_path(&none).is_empty());
-    }
-
-    #[test]
-    fn advertisement_rewrites_next_hop() {
-        let rs = figure_1b();
-        let adv = rs
-            .advertisement(&p("11.0.0.0/8"), A, Some(Ipv4Addr::new(172, 16, 0, 1)))
-            .unwrap();
-        assert_eq!(
-            adv.attrs.as_ref().unwrap().next_hop,
-            Ipv4Addr::new(172, 16, 0, 1)
-        );
-        let plain = rs.advertisement(&p("11.0.0.0/8"), A, None).unwrap();
-        assert_eq!(
-            plain.attrs.as_ref().unwrap().next_hop,
-            Ipv4Addr::new(10, 0, 0, 3)
-        );
     }
 
     #[test]

@@ -3,17 +3,18 @@
 //! The analyzer deliberately knows nothing about the controller's types; it
 //! consumes an [`AnalysisInput`]. This module lowers a [`CompileInput`] and
 //! the resulting [`Compilation`] into that form: clause predicates are
-//! compiled to their match regions, destinations are mirrored, and the
-//! BGP-safety question ("does the target export anything in scope to the
-//! author?") is answered against the route server up front so the analyzer
-//! stays BGP-agnostic.
+//! compiled to their match regions, destinations are mirrored, and each
+//! filtered outbound clause's effective set (what the target exports to the
+//! author, in scope) is computed against the route server up front, so the
+//! analyzer stays BGP-agnostic.
 
 use sdx_analyze::{AnalysisInput, ClauseDest, ClauseInfo, ParticipantInfo};
+use sdx_ip::PrefixSet;
 use sdx_policy::{compile_predicate, Match, Predicate};
 
 use crate::compile::{effective_set, Compilation, CompileInput};
 use crate::participant::VPORT_BASE;
-use crate::{Clause, Dest, ParticipantId};
+use crate::{Clause, Dest};
 
 /// Lower controller state into the analyzer's input form.
 pub fn build_input(input: &CompileInput<'_>, compilation: &Compilation) -> AnalysisInput {
@@ -31,17 +32,12 @@ pub fn build_input(input: &CompileInput<'_>, compilation: &Compilation) -> Analy
                     .map(|pol| {
                         pol.outbound
                             .iter()
-                            .map(|c| clause_info(input, *id, c))
+                            .map(|c| clause_info(c, effective_set(input, *id, c)))
                             .collect()
                     })
                     .unwrap_or_default(),
                 inbound: policy
-                    .map(|pol| {
-                        pol.inbound
-                            .iter()
-                            .map(|c| clause_info(input, *id, c))
-                            .collect()
-                    })
+                    .map(|pol| pol.inbound.iter().map(|c| clause_info(c, None)).collect())
                     .unwrap_or_default(),
             }
         })
@@ -63,24 +59,23 @@ pub fn build_input(input: &CompileInput<'_>, compilation: &Compilation) -> Analy
     }
 }
 
-fn clause_info(input: &CompileInput<'_>, author: ParticipantId, clause: &Clause) -> ClauseInfo {
+/// One clause in the analyzer's form. `effective` is the outbound clause's
+/// pass-1 set, asked of the live route server: the compile-time policy sets
+/// go stale under churn, and the installed-fabric audit runs after churn.
+/// Inbound clauses are not BGP-filtered.
+fn clause_info(clause: &Clause, effective: Option<PrefixSet>) -> ClauseInfo {
     let dest = match clause.dest {
         Dest::Participant(to) => ClauseDest::Participant(to.0),
         Dest::OwnPort(port) => ClauseDest::OwnPort(port),
         Dest::Drop => ClauseDest::Drop,
         Dest::BgpDefault => ClauseDest::BgpDefault,
     };
-    // The BGP-safety precomputation is pass 1 of the compiler, asked of the
-    // live route server: a filtered clause towards a participant is
-    // effective only on its effective set. (The compile-time policy sets go
-    // stale under churn, and the installed-fabric audit runs after churn.)
-    let exports_match = effective_set(input, author, clause).map(|set| !set.is_empty());
     ClauseInfo {
         matches: clause_matches(&clause.match_),
         dest,
         rewrites: clause.rewrites.clone(),
         unfiltered: clause.unfiltered,
-        exports_match,
+        effective,
     }
 }
 

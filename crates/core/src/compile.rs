@@ -663,7 +663,7 @@ pub fn compile(
 
     // ---- Whole-fabric reachability verification gate ----------------------
     if input.options.verify != AnalysisMode::Off {
-        let vi = crate::verify::build_verify_input(input, &compilation);
+        let vi = crate::verify::compiled_verify_input(input, &compilation);
         let report = sdx_analyze::reach::run(&vi, threads);
         compilation.stats.stages.verify_transit_us = report.times.transit_us;
         compilation.stats.stages.verify_isolation_us = report.times.isolation_us;

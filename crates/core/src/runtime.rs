@@ -35,11 +35,9 @@ use crate::compile::{
     compile, stage1_rules_for_prefix, Compilation, CompileError, CompileInput, CompileOptions,
     CompileStats, MemoCache,
 };
+use crate::verify::{self, AdvertMap, RouteView};
 use crate::vnh::VnhAllocator;
 use crate::{Participant, ParticipantId, ParticipantPolicy};
-
-/// One [`RouteServer::advert_map`] snapshot: viewer → feasible advertisers.
-type AdvertMap = BTreeMap<sdx_bgp::PeerId, std::collections::BTreeSet<sdx_bgp::PeerId>>;
 
 /// One fast-path fragment: a prefix re-homed onto a fresh VNH after a BGP
 /// update, with its rules installed above the base table until the next
@@ -432,10 +430,7 @@ impl SdxRuntime {
         // ---- Update-plan safety gate (§ consistent updates) --------------
         let mut schedule = None;
         if let Some((old_vi, old_state)) = plan_old {
-            let new_vi = {
-                let input = self.input();
-                crate::verify::build_verify_input(&input, &compilation)
-            };
+            let new_vi = verify::compiled_verify_input(&self.input(), &compilation);
             let new_state = self.target_state(&compilation);
             let report = sdx_plan::plan(&sdx_plan::PlanInput {
                 old_state,
@@ -812,7 +807,7 @@ impl SdxRuntime {
             let adds = vmac
                 .map(|vmac| self.delta_adds(&prefix, vmac, &adverts))
                 .unwrap_or_default();
-            let advert_now = self.delta_advert_now(&adverts);
+            let advert_now = verify::advert_pairs(&self.participants, &adverts);
             self.check_streamed_delta(prefix, adds, advert_now, schedule, steps)
         } else {
             None
@@ -888,7 +883,7 @@ impl SdxRuntime {
     /// The emission keys that will carry `prefix` after it re-homes onto
     /// `vmac`: every physical participant with a best route to it (and not
     /// announcing it itself) emits it from each of its ports under the
-    /// fresh tag — mirroring what [`live_fib`](Self::live_fib) will resolve
+    /// fresh tag — mirroring what [`fib_entry`](Self::fib_entry) will resolve
     /// once the overlay's ARP binding lands.
     fn delta_adds(
         &self,
@@ -914,25 +909,6 @@ impl SdxRuntime {
             }
         }
         adds
-    }
-
-    /// The post-event advertisement ground truth for `prefix`:
-    /// `(advertiser, viewer)` pairs per the route server's *current* (the
-    /// update is already ingested) reachability — the same relation
-    /// `sdx-verify`'s ground truth uses. `adverts` is one
-    /// [`RouteServer::advert_map`] snapshot, computed once per event and
-    /// shared with [`delta_adds`](Self::delta_adds) — per-viewer
-    /// reachability queries are too slow at churn rate.
-    fn delta_advert_now(&self, adverts: &AdvertMap) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        for p in self.participants.values().filter(|p| p.is_physical()) {
-            if let Some(advertisers) = adverts.get(&p.id.peer()) {
-                for advertiser in advertisers {
-                    out.push((advertiser.0, p.id.0));
-                }
-            }
-        }
-        out
     }
 
     /// Build, check, record, and (on `Deny` + unsafe) veto one streamed
@@ -1030,34 +1006,18 @@ impl SdxRuntime {
         Some((ev, denied))
     }
 
-    /// The VNH the SDX substitutes for `prefix`'s next hop: a fast-path
-    /// overlay's if one covers it, else the compiled group's if it belongs
-    /// to an FEC. `None` leaves the best route's own next hop ("the SDX
-    /// behaves like a normal route server").
-    fn vnh_of(&self, prefix: &Prefix) -> Option<Ipv4Addr> {
-        match self.overlays.iter().find(|o| o.prefix == *prefix) {
-            Some(o) => Some(o.vnh),
-            None => self.compilation.as_ref()?.vnh_of(prefix),
-        }
-    }
-
     /// The next hop the route server advertises to `viewer` for `prefix`:
     /// the SDX's VNH for it, otherwise the original next hop of the
-    /// viewer's best route.
+    /// viewer's best route; `None` when the viewer has no best route.
     pub fn advertised_next_hop(&self, prefix: &Prefix, viewer: ParticipantId) -> Option<Ipv4Addr> {
-        self.vnh_of(prefix).or_else(|| {
-            self.route_server
-                .best_route(prefix, viewer.peer())
-                .map(|c| c.route.attrs.next_hop)
-        })
+        verify::advertised(&self.route_server, self, prefix, viewer).map(|(_, nh)| nh)
     }
 
     /// The full re-advertisement of `prefix` to `viewer`, with the SDX's
     /// next-hop substitution applied; `None` (a withdrawal) when the viewer
     /// has no best route.
     pub fn advertisement(&self, prefix: &Prefix, viewer: ParticipantId) -> Option<Update> {
-        let best = self.route_server.best_route(prefix, viewer.peer())?;
-        let nh = self.vnh_of(prefix).unwrap_or(best.route.attrs.next_hop);
+        let (best, nh) = verify::advertised(&self.route_server, self, prefix, viewer)?;
         Some(Update::announce(
             [*prefix],
             best.route.attrs.with_next_hop(nh),
@@ -1067,24 +1027,14 @@ impl SdxRuntime {
     /// `viewer`'s border-router FIB decision for `prefix`, as the live
     /// control plane converges it: the advertised next hop and the ARP
     /// responder's answer for it. `None` when the viewer has no best route,
-    /// or announces the prefix itself — a router has its own internal route
-    /// to such a prefix and never forwards that traffic back to the fabric
-    /// (the paper's second loop-prevention invariant).
+    /// or announces the prefix itself. Every gate's FIB model makes this
+    /// same decision (see [`crate::verify`]).
     pub fn fib_entry(
         &self,
         prefix: &Prefix,
         viewer: ParticipantId,
     ) -> Option<(Ipv4Addr, Option<MacAddr>)> {
-        if self
-            .route_server
-            .route_from(viewer.peer(), prefix)
-            .is_some()
-        {
-            return None;
-        }
-        let best = self.route_server.best_route(prefix, viewer.peer())?;
-        let nh = self.vnh_of(prefix).unwrap_or(best.route.attrs.next_hop);
-        Some((nh, self.arp.resolve(&nh)))
+        verify::fib_decision(&self.route_server, self, prefix, viewer)
     }
 
     /// Answer an ARP request (VNHs and router interfaces).
@@ -1220,23 +1170,24 @@ impl SdxRuntime {
             .collect()
     }
 
-    /// The FIB model of one participant as the *live* control plane would
-    /// converge it: its [`fib_entry`](Self::fib_entry) for every prefix.
-    fn live_fib(&self, viewer: ParticipantId) -> sdx_analyze::FibModel {
-        let entries = self.route_server.all_prefixes().into_iter();
-        sdx_analyze::FibModel {
-            participant: viewer.0,
-            entries: entries
-                .filter_map(|prefix| {
-                    let (next_hop, mac) = self.fib_entry(&prefix, viewer)?;
-                    Some(sdx_analyze::FibEntry {
-                        prefix,
-                        next_hop,
-                        mac: mac.map(|m| m.to_u64()),
-                    })
-                })
-                .collect(),
+    /// The installed FEC bindings: the compilation's groups, with every
+    /// prefix a fast-path overlay re-homed pulled out onto the overlay's
+    /// fresh VNH/VMAC — the binding the routers actually converge to.
+    fn live_groups(&self, compilation: &Compilation) -> Vec<sdx_analyze::GroupBinding> {
+        let mut groups = verify::group_bindings(compilation);
+        for o in &self.overlays {
+            for g in &mut groups {
+                g.prefixes.remove(&o.prefix);
+            }
+            let mut prefixes = sdx_ip::PrefixSet::new();
+            prefixes.insert(o.prefix);
+            groups.push(sdx_analyze::GroupBinding {
+                prefixes,
+                vnh: o.vnh,
+                vmac: o.vmac.to_u64(),
+            });
         }
+        groups
     }
 
     /// The reachability verifier's input for the *installed* state: the
@@ -1249,30 +1200,12 @@ impl SdxRuntime {
     /// successful [`compile`](Self::compile).
     pub fn verify_input(&self) -> Option<sdx_analyze::VerifyInput> {
         let compilation = self.compilation.as_ref()?;
-        let input = self.input();
-        let mut vi = crate::verify::build_verify_input(&input, compilation);
-        vi.tables = self.installed_tables();
-        // Fast-path overlays re-home prefixes onto fresh VNH/VMAC bindings:
-        // pull them out of their base groups so the integrity pass checks
-        // the binding the routers actually converge to.
-        for o in &self.overlays {
-            for g in &mut vi.groups {
-                g.prefixes.remove(&o.prefix);
-            }
-            let mut prefixes = sdx_ip::PrefixSet::new();
-            prefixes.insert(o.prefix);
-            vi.groups.push(sdx_analyze::GroupBinding {
-                prefixes,
-                vnh: o.vnh,
-                vmac: o.vmac.to_u64(),
-            });
-        }
-        vi.fibs = vi
-            .participants
-            .iter()
-            .map(|(id, _)| self.live_fib(ParticipantId(*id)))
-            .collect();
-        Some(vi)
+        Some(verify::verify_input(
+            &self.input(),
+            self.installed_tables(),
+            self.live_groups(compilation),
+            self,
+        ))
     }
 
     /// Run the whole-fabric reachability verifier against the *installed*
@@ -1296,12 +1229,7 @@ impl SdxRuntime {
         self.compilation.as_ref()?;
         let old = sdx_analyze::DiffSide {
             tables: self.installed_tables(),
-            fibs: self
-                .participants
-                .values()
-                .filter(|p| p.is_physical())
-                .map(|p| self.live_fib(p.id))
-                .collect(),
+            fibs: verify::fib_models(&self.input(), self),
         };
         // The reference side: a gate-free from-scratch compile of the same
         // inputs with its own VNH pool (tag allocations are expected to
@@ -1322,10 +1250,10 @@ impl SdxRuntime {
                 .into_iter()
                 .map(|(classifier, _)| classifier.clone())
                 .collect();
-            let fibs = crate::verify::build_verify_input(&input, &fresh).fibs;
+            let fibs = verify::fib_models(&input, &verify::CompiledView::new(&input, &fresh));
             (
                 sdx_analyze::DiffSide { tables, fibs },
-                crate::verify::physical_participants(&input),
+                verify::physical_participants(&input),
             )
         };
         let report = sdx_analyze::diff::run(&old, &new, &participants, self.options.threads);
@@ -1341,5 +1269,227 @@ impl SdxRuntime {
             .values()
             .find(|p| p.port_numbers().any(|n| n == port))
             .map(|p| p.id)
+    }
+}
+
+/// The live route view: a fast-path overlay's VNH if one covers the
+/// prefix, else the installed compilation's group VNH ("the SDX behaves
+/// like a normal route server" for ungrouped prefixes), resolved by the
+/// ARP responder.
+impl RouteView for SdxRuntime {
+    fn vnh_of(&self, prefix: &Prefix) -> Option<Ipv4Addr> {
+        match self.overlays.iter().find(|o| o.prefix == *prefix) {
+            Some(o) => Some(o.vnh),
+            None => self.compilation.as_ref()?.vnh_of(prefix),
+        }
+    }
+
+    fn resolve(&self, ip: &Ipv4Addr) -> Option<MacAddr> {
+        self.arp.resolve(ip)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The gates' model of a compilation against the live view. Right after
+    //! a compile, with no fast-path overlay installed, the FIBs, groups and
+    //! ground truth the gates build for the compilation (its own VNH table,
+    //! the participants' interface MACs) must equal what
+    //! [`SdxRuntime::verify_input`] reads off the installed runtime.
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sdx_bgp::{AsPath, Asn, ExportPolicy};
+    use sdx_policy::{match_, match_prefix, Field};
+
+    use super::*;
+    use crate::{Clause, PortConfig};
+
+    fn model_is_live(sdx: &SdxRuntime) {
+        assert!(sdx.overlays.is_empty(), "a compile clears every overlay");
+        let live = sdx.verify_input().expect("compiled");
+        assert!(live.fibs.iter().any(|f| !f.entries.is_empty()));
+        let compilation = sdx.compilation.as_ref().expect("compiled");
+        let model = verify::compiled_verify_input(&sdx.input(), compilation);
+        assert_eq!(model.participants, live.participants);
+        assert_eq!(model.fibs, live.fibs);
+        assert_eq!(model.groups, live.groups);
+        assert_eq!(model.advertised, live.advertised);
+    }
+
+    fn port(n: u32) -> PortConfig {
+        PortConfig {
+            port: n,
+            mac: MacAddr::from_u64(0x0a00_0000_0000 + u64::from(n)),
+            ip: Ipv4Addr::new(172, 0, 0, n as u8),
+        }
+    }
+
+    fn attrs(path: &[u32], nh: Ipv4Addr) -> PathAttributes {
+        PathAttributes::new(AsPath::sequence(path.iter().copied()), nh)
+    }
+
+    fn p(s: &str) -> Prefix {
+        s.parse().unwrap()
+    }
+
+    /// The paper's Figure 1 exchange (see `tests/figure1.rs`).
+    fn figure1(multi_table: bool) -> SdxRuntime {
+        let (a, b, c) = (ParticipantId(1), ParticipantId(2), ParticipantId(3));
+        let mut sdx = SdxRuntime::new(CompileOptions {
+            multi_table,
+            ..Default::default()
+        });
+        sdx.add_participant(Participant::new(a, Asn(100), vec![port(1)]));
+        sdx.add_participant(Participant::new(b, Asn(200), vec![port(2), port(3)]));
+        sdx.add_participant(Participant::new(c, Asn(300), vec![port(4)]));
+        let (b_nh, c_nh) = (port(2).ip, port(4).ip);
+        let p124 = [p("11.0.0.0/8"), p("12.0.0.0/8"), p("14.0.0.0/8")];
+        sdx.announce(b, p124, attrs(&[200, 65001], b_nh));
+        sdx.announce(b, [p("13.0.0.0/8")], attrs(&[200], b_nh));
+        sdx.set_export_policy(
+            b,
+            ExportPolicy::export_all().deny_prefix_to(p("14.0.0.0/8"), a.peer()),
+        );
+        sdx.announce(c, p124, attrs(&[300], c_nh));
+        sdx.announce(c, [p("13.0.0.0/8")], attrs(&[300, 500, 65001], c_nh));
+        sdx.set_policy(
+            a,
+            ParticipantPolicy::new()
+                .outbound(Clause::fwd(match_(Field::DstPort, 80u16), b))
+                .outbound(Clause::fwd(match_(Field::DstPort, 443u16), c)),
+        );
+        sdx.set_policy(
+            b,
+            ParticipantPolicy::new()
+                .inbound(Clause::to_port(
+                    match_prefix(Field::SrcIp, p("0.0.0.0/1")),
+                    2,
+                ))
+                .inbound(Clause::to_port(
+                    match_prefix(Field::SrcIp, p("128.0.0.0/1")),
+                    3,
+                )),
+        );
+        sdx
+    }
+
+    #[test]
+    fn figure1_model_equals_live_view() {
+        for multi_table in [false, true] {
+            let mut sdx = figure1(multi_table);
+            sdx.compile().unwrap();
+            model_is_live(&sdx);
+            // Fast-path churn leaves overlay ARP bindings behind; the
+            // recompile that coalesces them must still agree.
+            sdx.withdraw(ParticipantId(2), [p("13.0.0.0/8")]);
+            sdx.announce(
+                ParticipantId(1),
+                [p("11.0.0.0/8")],
+                attrs(&[100], port(1).ip),
+            );
+            assert!(!sdx.overlays.is_empty());
+            sdx.compile().unwrap();
+            model_is_live(&sdx);
+        }
+    }
+
+    /// A random exchange: physical and remote participants, overlapping
+    /// announcements (own prefixes, AS paths through other members),
+    /// export denials, and filtered, unfiltered and inbound clauses.
+    fn random_fabric(seed: u64, multi_table: bool) -> SdxRuntime {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sdx = SdxRuntime::new(CompileOptions {
+            multi_table,
+            ..Default::default()
+        });
+        let n = rng.gen_range(3..=6u32);
+        let ids: Vec<ParticipantId> = (1..=n).map(ParticipantId).collect();
+        let pool: Vec<Prefix> = (0..8u32)
+            .map(|i| Prefix::from_bits(0x0a00_0000 | (i << 16), 16))
+            .collect();
+        let mut next_port = 1;
+        for id in &ids {
+            let asn = Asn(65_000 + id.0);
+            if id.0 > 1 && rng.gen_bool(0.2) {
+                sdx.add_participant(Participant::remote(*id, asn));
+                continue;
+            }
+            let ports = (0..rng.gen_range(1..=2))
+                .map(|_| {
+                    next_port += 1;
+                    port(next_port - 1)
+                })
+                .collect();
+            sdx.add_participant(Participant::new(*id, asn, ports));
+        }
+        for id in &ids {
+            let nh = match sdx.participants[id].primary_port() {
+                Some(port) => port.ip,
+                None => Ipv4Addr::new(172, 0, 0, 100 + id.0 as u8),
+            };
+            for prefix in &pool {
+                if !rng.gen_bool(0.4) {
+                    continue;
+                }
+                let via = ids[rng.gen_range(0..ids.len())].0;
+                let path = [65_000 + id.0, 65_000 + via, 64_999];
+                sdx.announce(*id, [*prefix], attrs(&path[..rng.gen_range(1..=3)], nh));
+            }
+            let mut export = ExportPolicy::export_all();
+            for prefix in &pool {
+                if !rng.gen_bool(0.2) {
+                    continue;
+                }
+                export = export.deny_prefix_to(*prefix, ids[rng.gen_range(0..ids.len())].peer());
+            }
+            sdx.set_export_policy(*id, export);
+        }
+        for id in &ids {
+            let own: Vec<u32> = sdx.participants[id].port_numbers().collect();
+            let Some(&last_port) = own.last() else {
+                continue; // remote participants write no outbound clauses.
+            };
+            let mut policy = ParticipantPolicy::new();
+            for dport in [80u16, 443, 22] {
+                if !rng.gen_bool(0.5) {
+                    continue;
+                }
+                let to = ids[rng.gen_range(0..ids.len())];
+                let clause = Clause::fwd(match_(Field::DstPort, dport), to);
+                policy = policy.outbound(if rng.gen_bool(0.2) {
+                    clause.unfiltered()
+                } else {
+                    clause
+                });
+            }
+            if rng.gen_bool(0.5) {
+                let half = match_prefix(Field::SrcIp, p("128.0.0.0/1"));
+                policy = policy.inbound(Clause::to_port(half, last_port));
+            }
+            sdx.set_policy(*id, policy);
+        }
+        sdx
+    }
+
+    #[test]
+    fn random_fabric_model_equals_live_view() {
+        for seed in 0..24 {
+            for multi_table in [false, true] {
+                let mut sdx = random_fabric(seed, multi_table);
+                sdx.compile().unwrap();
+                model_is_live(&sdx);
+                let prefix = Prefix::from_bits(0x0a00_0000 | ((seed as u32 % 8) << 16), 16);
+                let announcer = ParticipantId(1 + (seed as u32 % 3));
+                sdx.withdraw(announcer, [prefix]);
+                sdx.announce(
+                    ParticipantId(1),
+                    [Prefix::from_bits(0x0b00_0000, 8)],
+                    attrs(&[65_001], Ipv4Addr::new(172, 0, 0, 101)),
+                );
+                sdx.compile().unwrap();
+                model_is_live(&sdx);
+            }
+        }
     }
 }

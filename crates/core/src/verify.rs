@@ -1,52 +1,169 @@
 //! Bridge between the controller and the whole-fabric symbolic verifier
-//! (`sdx-analyze`'s `reach`/`diff` passes).
+//! (`sdx-analyze`'s `reach`/`diff` passes): the one route view every gate
+//! reads, lowered into a [`VerifyInput`].
 //!
-//! The verifier consumes a [`VerifyInput`]: compiled stage tables, the
-//! border-router FIB/ARP tagging model, the VNH allocation, and the route
-//! server's advertisement ground truth. This module lowers controller state
-//! into that form. The synthesized FIB model follows the same decision as
-//! [`SdxRuntime::fib_entry`], which every live router sync and the
-//! runtime's own live FIB models use: a router never keeps fabric routes
-//! for prefixes it announces itself, takes the SDX-advertised (virtual)
-//! next hop for everything else, and resolves the next hop's MAC — the VMAC
-//! tag — through ARP.
+//! One FIB decision (§4.2) serves the live runtime
+//! ([`SdxRuntime::fib_entry`], every router sync) and every gate's model: a
+//! router keeps no fabric route for a prefix it announces itself, takes the
+//! SDX-advertised next hop for everything else, and tags with the MAC ARP
+//! resolves it to. A `RouteView` supplies the VNH and the MAC: the live
+//! runtime from its overlays, installed compilation and ARP responder; a
+//! compilation that is not installed yet (the verify gate, the plan gate's
+//! new side, the differential check's reference) from its own VNH table
+//! over the participants' router interfaces — what ARP answers once it is
+//! installed. The ground truth is one [`RouteServer::advert_map`] per
+//! prefix, read through the helper the streamed delta gate uses.
 //!
 //! [`SdxRuntime::fib_entry`]: crate::SdxRuntime::fib_entry
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
 use sdx_analyze::{FibEntry, FibModel, GroupBinding, VerifyInput};
-use sdx_ip::{MacAddr, PrefixSet};
+use sdx_bgp::{Candidate, PeerId, RouteServer};
+use sdx_ip::{MacAddr, Prefix, PrefixSet};
+use sdx_policy::Classifier;
 use sdx_switch::BorderRouter;
 
 use crate::compile::{Compilation, CompileInput};
 use crate::participant::VPORT_BASE;
-use crate::ParticipantId;
+use crate::{Participant, ParticipantId};
 
-/// Lower a compile input and its result into the verifier's input form,
-/// with FIB models synthesized from the compilation (what every router's
-/// state *will* be once it converges on the new advertisements).
-pub fn build_verify_input(input: &CompileInput<'_>, compilation: &Compilation) -> VerifyInput {
-    let mut vi = VerifyInput {
-        tables: vec![compilation.stage1.clone(), compilation.stage2.clone()],
+/// One [`RouteServer::advert_map`] snapshot: viewer → feasible advertisers.
+pub(crate) type AdvertMap = BTreeMap<PeerId, BTreeSet<PeerId>>;
+
+/// Where a FIB decision takes the SDX's virtual next hops and their MACs
+/// from.
+pub(crate) trait RouteView {
+    /// The VNH the SDX substitutes for `prefix`'s next hop; `None` leaves
+    /// the best route's own next hop.
+    fn vnh_of(&self, prefix: &Prefix) -> Option<Ipv4Addr>;
+    /// The MAC ARP answers for `ip`.
+    fn resolve(&self, ip: &Ipv4Addr) -> Option<MacAddr>;
+}
+
+/// A compilation that is not installed yet, as the routers will see it
+/// once it is: its group VNHs, resolved by ARP to their VMACs over the
+/// participants' router interfaces.
+pub(crate) struct CompiledView<'a> {
+    compilation: &'a Compilation,
+    arp: HashMap<Ipv4Addr, MacAddr>,
+}
+
+impl<'a> CompiledView<'a> {
+    /// The view of `compilation` over `input`'s participants. VNH bindings
+    /// shadow interface bindings, as the runtime binds them after the
+    /// interfaces.
+    pub(crate) fn new(input: &CompileInput<'_>, compilation: &'a Compilation) -> Self {
+        let interfaces = input.participants.values().flat_map(|p| &p.ports);
+        let arp = interfaces
+            .map(|c| (c.ip, c.mac))
+            .chain(compilation.vnh.iter().copied())
+            .collect();
+        CompiledView { compilation, arp }
+    }
+}
+
+impl RouteView for CompiledView<'_> {
+    fn vnh_of(&self, prefix: &Prefix) -> Option<Ipv4Addr> {
+        self.compilation.vnh_of(prefix)
+    }
+
+    fn resolve(&self, ip: &Ipv4Addr) -> Option<MacAddr> {
+        self.arp.get(ip).copied()
+    }
+}
+
+/// The best route `viewer` receives for `prefix`, and the next hop the SDX
+/// advertises with it: the view's VNH, else the route's own.
+pub(crate) fn advertised(
+    rs: &RouteServer,
+    view: &impl RouteView,
+    prefix: &Prefix,
+    viewer: ParticipantId,
+) -> Option<(Candidate, Ipv4Addr)> {
+    let best = rs.best_route(prefix, viewer.peer())?;
+    let next_hop = view.vnh_of(prefix).unwrap_or(best.route.attrs.next_hop);
+    Some((best, next_hop))
+}
+
+/// `viewer`'s border-router FIB decision for `prefix`: the advertised next
+/// hop and the MAC it resolves to. `None` when the viewer has no best
+/// route, or announces the prefix itself — a router has its own internal
+/// route to such a prefix and never forwards that traffic back to the
+/// fabric (the paper's second loop-prevention invariant).
+pub(crate) fn fib_decision(
+    rs: &RouteServer,
+    view: &impl RouteView,
+    prefix: &Prefix,
+    viewer: ParticipantId,
+) -> Option<(Ipv4Addr, Option<MacAddr>)> {
+    if rs.route_from(viewer.peer(), prefix).is_some() {
+        return None;
+    }
+    let (_, next_hop) = advertised(rs, view, prefix, viewer)?;
+    Some((next_hop, view.resolve(&next_hop)))
+}
+
+/// The border-router FIB model of every physical participant, in
+/// participant order: its `fib_decision` for every known prefix.
+pub(crate) fn fib_models(input: &CompileInput<'_>, view: &impl RouteView) -> Vec<FibModel> {
+    let rs = input.route_server;
+    let prefixes = rs.all_prefixes();
+    let physical = input.participants.values().filter(|p| p.is_physical());
+    physical
+        .map(|p| FibModel {
+            participant: p.id.0,
+            entries: prefixes
+                .iter()
+                .filter_map(|prefix| {
+                    let (next_hop, mac) = fib_decision(rs, view, prefix, p.id)?;
+                    Some(FibEntry {
+                        prefix: *prefix,
+                        next_hop,
+                        mac: mac.map(|m| m.to_u64()),
+                    })
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+/// Lower controller state into the verifier's input: the pipeline `tables`
+/// and FEC `groups` the caller hands in, FIB models decided against `view`,
+/// and the ground truth.
+pub(crate) fn verify_input(
+    input: &CompileInput<'_>,
+    tables: Vec<Classifier>,
+    groups: Vec<GroupBinding>,
+    view: &impl RouteView,
+) -> VerifyInput {
+    VerifyInput {
+        tables,
         participants: physical_participants(input),
-        groups: group_bindings(compilation),
-        fibs: Vec::new(),
+        groups,
+        fibs: fib_models(input, view),
         advertised: advertised_ground_truth(input),
         vport_base: VPORT_BASE,
-    };
-    let macs = interface_macs(input);
-    vi.fibs = vi
-        .participants
-        .iter()
-        .map(|(id, _)| model_fib(input, compilation, ParticipantId(*id), &macs))
-        .collect();
-    vi
+    }
+}
+
+/// The verifier's input for a compilation that is not installed yet: its
+/// compiled two-stage semantics fronted by the routers it will converge.
+pub(crate) fn compiled_verify_input(
+    input: &CompileInput<'_>,
+    compilation: &Compilation,
+) -> VerifyInput {
+    verify_input(
+        input,
+        vec![compilation.stage1.clone(), compilation.stage2.clone()],
+        group_bindings(compilation),
+        &CompiledView::new(input, compilation),
+    )
 }
 
 /// `(participant, physical ports)` for every physical participant.
-pub fn physical_participants(input: &CompileInput<'_>) -> Vec<(u32, Vec<u32>)> {
+pub(crate) fn physical_participants(input: &CompileInput<'_>) -> Vec<(u32, Vec<u32>)> {
     input
         .participants
         .iter()
@@ -56,7 +173,7 @@ pub fn physical_participants(input: &CompileInput<'_>) -> Vec<(u32, Vec<u32>)> {
 }
 
 /// The compilation's FEC → (VNH, VMAC) allocation as verifier bindings.
-pub fn group_bindings(compilation: &Compilation) -> Vec<GroupBinding> {
+pub(crate) fn group_bindings(compilation: &Compilation) -> Vec<GroupBinding> {
     compilation
         .groups
         .iter()
@@ -69,84 +186,38 @@ pub fn group_bindings(compilation: &Compilation) -> Vec<GroupBinding> {
         .collect()
 }
 
-/// Ground truth for the isolation invariant: `(advertiser, viewer)` → the
-/// prefixes the advertiser exports to the viewer via the route server. All
-/// feasible advertisers count, not just best routes — inbound redirection
-/// to any consenting advertiser is legitimate.
-pub fn advertised_ground_truth(input: &CompileInput<'_>) -> BTreeMap<(u32, u32), PrefixSet> {
-    let mut out: BTreeMap<(u32, u32), PrefixSet> = BTreeMap::new();
-    let viewers: Vec<u32> = input
-        .participants
-        .iter()
-        .filter(|(_, p)| p.is_physical())
-        .map(|(id, _)| id.0)
-        .collect();
-    for prefix in input.route_server.all_prefixes() {
-        for viewer in &viewers {
-            for advertiser in input
-                .route_server
-                .reachable_via(&prefix, ParticipantId(*viewer).peer())
-            {
-                out.entry((advertiser.0, *viewer))
-                    .or_default()
-                    .insert(prefix);
-            }
+/// One prefix's `(advertiser, viewer)` pairs from its advert map, physical
+/// viewers only.
+pub(crate) fn advert_pairs(
+    participants: &BTreeMap<ParticipantId, Participant>,
+    adverts: &AdvertMap,
+) -> Vec<(u32, u32)> {
+    let mut out = Vec::new();
+    for p in participants.values().filter(|p| p.is_physical()) {
+        for advertiser in adverts.get(&p.id.peer()).into_iter().flatten() {
+            out.push((advertiser.0, p.id.0));
         }
     }
     out
 }
 
-/// Router-interface IP → MAC, from every participant's port configuration
-/// (what the ARP responder answers for besides the VNHs).
-fn interface_macs(input: &CompileInput<'_>) -> BTreeMap<Ipv4Addr, MacAddr> {
-    input
-        .participants
-        .values()
-        .flat_map(|p| p.ports.iter().map(|c| (c.ip, c.mac)))
-        .collect()
-}
-
-/// Synthesize the converged FIB of one participant's border router from a
-/// compilation: own-announced prefixes absent, grouped prefixes on their
-/// VNH/VMAC, ungrouped prefixes on the original next hop with the MAC
-/// resolved against the router interface table.
-fn model_fib(
-    input: &CompileInput<'_>,
-    compilation: &Compilation,
-    viewer: ParticipantId,
-    interface_macs: &BTreeMap<Ipv4Addr, MacAddr>,
-) -> FibModel {
+/// Ground truth for the isolation invariant: `(advertiser, viewer)` → the
+/// prefixes the advertiser exports to the viewer via the route server. All
+/// feasible advertisers count, not just best routes — inbound redirection
+/// to any consenting advertiser is legitimate.
+pub(crate) fn advertised_ground_truth(input: &CompileInput<'_>) -> BTreeMap<(u32, u32), PrefixSet> {
     let rs = input.route_server;
-    let own = rs.announced_by(viewer.peer());
-    let mut entries = Vec::new();
+    let mut out: BTreeMap<(u32, u32), PrefixSet> = BTreeMap::new();
     for prefix in rs.all_prefixes() {
-        if own.contains(&prefix) {
-            continue;
+        for pair in advert_pairs(input.participants, &rs.advert_map(&prefix)) {
+            out.entry(pair).or_default().insert(prefix);
         }
-        let Some(best) = rs.best_route(&prefix, viewer.peer()) else {
-            continue;
-        };
-        let (next_hop, mac) = match compilation.group_of(&prefix) {
-            Some(g) => (compilation.vnh[g].0, Some(compilation.vnh[g].1.to_u64())),
-            None => {
-                let nh = best.route.attrs.next_hop;
-                (nh, interface_macs.get(&nh).map(|m| m.to_u64()))
-            }
-        };
-        entries.push(FibEntry {
-            prefix,
-            next_hop,
-            mac,
-        });
     }
-    FibModel {
-        participant: viewer.0,
-        entries,
-    }
+    out
 }
 
 /// The FIB model of an *actual* border router — its trie and ARP cache as
-/// they stand, rather than the converged synthesis. Lets audits verify the
+/// they stand, rather than the converged decision. Lets audits verify the
 /// state a real (possibly stale or corrupted) router would tag with.
 pub fn fib_from_router(id: ParticipantId, router: &BorderRouter) -> FibModel {
     FibModel {

@@ -103,12 +103,13 @@ fn analysis_off_records_nothing() {
 fn shadowed_clause_detected_and_denied() {
     let seed = |mode| {
         let mut sdx = runtime(mode);
-        // Clause 1 repeats clause 0's match: first-match-wins makes it dead.
+        // Clause 1 repeats clause 0's match and target: first-match-wins
+        // makes it dead.
         sdx.set_policy(
             A,
             ParticipantPolicy::new()
                 .outbound(Clause::fwd(match_(Field::DstPort, 80u16), B))
-                .outbound(Clause::fwd(match_(Field::DstPort, 80u16), C)),
+                .outbound(Clause::fwd(match_(Field::DstPort, 80u16), B)),
         );
         sdx
     };
@@ -129,7 +130,8 @@ fn shadowed_clause_detected_and_denied() {
 #[test]
 fn multi_clause_union_shadow_detected() {
     // Neither half alone covers clause 2 — only their union does; this is
-    // the case pairwise subsumption cannot see.
+    // the case pairwise subsumption cannot see. All three forward to B,
+    // whose 20.0.0.0/8 they all catch.
     let mut sdx = runtime(AnalysisMode::Warn);
     let towards = |cidr: &str| sdx_policy::match_prefix(Field::DstIp, cidr.parse().unwrap());
     sdx.set_policy(
@@ -137,7 +139,7 @@ fn multi_clause_union_shadow_detected() {
         ParticipantPolicy::new()
             .outbound(Clause::fwd(towards("20.0.0.0/9"), B))
             .outbound(Clause::fwd(towards("20.128.0.0/9"), B))
-            .outbound(Clause::fwd(towards("20.0.0.0/8"), C)),
+            .outbound(Clause::fwd(towards("20.0.0.0/8"), B)),
     );
     sdx.compile().unwrap();
     let analysis = sdx.compilation().unwrap().analysis.clone().unwrap();

@@ -181,35 +181,13 @@ fn terminal_regions(tables: &[Classifier], region: Region) -> Option<Vec<Region>
     Some(out)
 }
 
-/// Per-(sender, port, tag) prefix map of one FIB generation.
-pub(crate) fn emissions(vi: &VerifyInput) -> BTreeMap<(u32, u32, u64), BTreeSet<Prefix>> {
-    let mut out: BTreeMap<(u32, u32, u64), BTreeSet<Prefix>> = BTreeMap::new();
-    for fib in &vi.fibs {
-        let ports = vi
-            .participants
-            .iter()
-            .find(|(id, _)| *id == fib.participant)
-            .map(|(_, p)| p.clone())
-            .unwrap_or_default();
-        for e in &fib.entries {
-            let Some(mac) = e.mac else { continue };
-            for port in &ports {
-                out.entry((fib.participant, *port, mac))
-                    .or_default()
-                    .insert(e.prefix);
-            }
-        }
-    }
-    out
-}
-
 impl Checker {
     /// Build the checking context from the old and new verifier inputs.
-    /// `old.fibs`/`new.fibs` decide the injections; `advertised` ground
-    /// truths are unioned for leak classification.
+    /// Their [`VerifyInput::emissions`] decide the injections; `advertised`
+    /// ground truths are unioned for leak classification.
     pub fn new(old: &VerifyInput, new: &VerifyInput) -> Checker {
-        let old_em = emissions(old);
-        let new_em = emissions(new);
+        let old_em = old.emissions();
+        let new_em = new.emissions();
         let keys: BTreeSet<(u32, u32, u64)> = old_em.keys().chain(new_em.keys()).copied().collect();
         let injections = keys
             .into_iter()

@@ -56,16 +56,14 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+pub use sdx_analyze::EmissionKey;
 use sdx_analyze::VerifyInput;
 use sdx_ip::{Prefix, PrefixSet};
 use sdx_policy::{Classifier, Field, Match, Pattern, Region};
 
-use crate::check::{self, Checker, Injection, Phase, SidePartition, Violation};
+use crate::check::{Checker, Injection, Phase, SidePartition, Violation};
 use crate::delta::{apply, classifier_of, PlanStep, TableState};
 use crate::search::{judge_order, synthesize, Schedule};
-
-/// An emission key: (sender participant, ingress port, VMAC tag).
-pub type EmissionKey = (u32, u32, u64);
 
 /// How the checker decided one streamed delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -320,7 +318,7 @@ impl IncrementalChecker {
     /// state (rebuilds the tag → rule dependency index). Drops every cached
     /// partition — the tables just changed wholesale.
     pub fn seed(&mut self, vi: &VerifyInput, state: &[TableState]) {
-        self.emissions = check::emissions(vi).into_iter().collect();
+        self.emissions = vi.emissions().into_iter().collect();
         self.by_prefix.clear();
         self.keys_by_tag.clear();
         for (key, prefixes) in &self.emissions {

@@ -88,11 +88,11 @@ impl fmt::Display for FlowRule {
 /// walk a binary trie, and only the buckets that can hold the packet's
 /// value of the partition field (the exact field most rules pin) are
 /// probed, highest-priority-first with an early exit.
-/// [`lookup_linear`](Self::lookup_linear) /
-/// [`peek_linear`](Self::peek_linear) keep the O(n) scan as the oracle the
-/// property tests and the dataplane bench baseline measure against. Both
-/// paths share one read-only match pipeline; per-rule packet counters are
-/// atomic so neither needs `&mut self`.
+/// [`peek_pos_linear`](Self::peek_pos_linear) keeps the O(n) scan as the
+/// oracle the property tests and the dataplane bench baseline measure
+/// against. Both lookups are read-only and return a position; the switch
+/// counts hits there with [`add_hits`](Self::add_hits), whose per-rule
+/// counters are atomic so no lookup needs `&mut self`.
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct FlowTable {
     /// Sorted by (priority descending, install sequence ascending) — a total
@@ -319,8 +319,12 @@ impl FlowTable {
             .ok()
     }
 
-    /// Indexed position of the best rule matching `pkt`.
-    fn find(&self, pkt: &Packet) -> Option<usize> {
+    /// Indexed position of the best (highest-priority, first-installed)
+    /// rule matching `pkt`, without touching counters — the data plane's
+    /// one lookup: the switch counts the hit at this position with
+    /// [`add_hits`](Self::add_hits), and each shard counts in its *own*
+    /// array instead of contending on the table's shared counters.
+    pub fn peek_pos(&self, pkt: &Packet) -> Option<usize> {
         let (priority, seq) = self.index.lookup(pkt)?;
         let pos = self
             .position_of(priority, seq)
@@ -329,31 +333,21 @@ impl FlowTable {
         Some(pos)
     }
 
-    /// Look up the packet: the highest-priority matching rule. Bumps its
-    /// packet counter.
-    pub fn lookup(&self, pkt: &Packet) -> Option<&FlowRule> {
-        let pos = self.find(pkt)?;
-        self.counters[pos].fetch_add(1, Ordering::Relaxed);
-        Some(&self.rules[pos])
-    }
-
-    /// Like `lookup` but without touching counters.
-    pub fn peek(&self, pkt: &Packet) -> Option<&FlowRule> {
-        self.find(pkt).map(|pos| &self.rules[pos])
-    }
-
-    /// Indexed position of the best rule matching `pkt`, without touching
-    /// counters — the sharded data plane's lookup primitive: each shard
-    /// counts hits in its *own* array (indexed by this position) instead of
-    /// contending on the table's shared counters, and folds them back via
-    /// [`add_hits`](Self::add_hits).
-    pub fn peek_pos(&self, pkt: &Packet) -> Option<usize> {
-        self.find(pkt)
-    }
-
-    /// The linear-scan oracle for [`peek_pos`](Self::peek_pos).
+    /// The linear-scan oracle for [`peek_pos`](Self::peek_pos): same
+    /// semantics, O(rules) per packet. Kept public so the property tests
+    /// and the dataplane bench baseline can measure and diff against it.
     pub fn peek_pos_linear(&self, pkt: &Packet) -> Option<usize> {
         self.rules.iter().position(|r| r.match_.matches(pkt))
+    }
+
+    /// The rule [`peek_pos`](Self::peek_pos) finds.
+    pub fn peek(&self, pkt: &Packet) -> Option<&FlowRule> {
+        self.peek_pos(pkt).map(|pos| &self.rules[pos])
+    }
+
+    /// The rule [`peek_pos_linear`](Self::peek_pos_linear) finds.
+    pub fn peek_linear(&self, pkt: &Packet) -> Option<&FlowRule> {
+        self.peek_pos_linear(pkt).map(|pos| &self.rules[pos])
     }
 
     /// The rule at position `pos` (as returned by
@@ -367,20 +361,6 @@ impl FlowTable {
     /// counter folds need no exclusive access. Panics if out of range.
     pub fn add_hits(&self, pos: usize, n: u64) {
         self.counters[pos].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The linear-scan oracle for [`lookup`](Self::lookup): same semantics,
-    /// O(rules) per packet. Kept public so the property tests and the
-    /// dataplane bench baseline can measure and diff against it.
-    pub fn lookup_linear(&self, pkt: &Packet) -> Option<&FlowRule> {
-        let pos = self.rules.iter().position(|r| r.match_.matches(pkt))?;
-        self.counters[pos].fetch_add(1, Ordering::Relaxed);
-        Some(&self.rules[pos])
-    }
-
-    /// The linear-scan oracle for [`peek`](Self::peek).
-    pub fn peek_linear(&self, pkt: &Packet) -> Option<&FlowRule> {
-        self.rules.iter().find(|r| r.match_.matches(pkt))
     }
 
     /// Total packets matched across all rules.
@@ -424,7 +404,7 @@ mod tests {
         assert_eq!(t.rules()[2].priority, 1);
 
         let pkt = Packet::new().with(Field::Port, 1u32);
-        let hit = t.lookup(&pkt).unwrap();
+        let hit = t.peek(&pkt).unwrap();
         assert_eq!(hit.priority, 10);
     }
 
@@ -443,15 +423,17 @@ mod tests {
 
     #[test]
     fn counters_track_hits() {
-        let mut t = FlowTable::new();
-        t.install(FlowRule::new(1, Match::any(), vec![]));
-        let pkt = Packet::new();
-        t.lookup(&pkt);
-        t.lookup(&pkt);
-        assert_eq!(t.packet_count(0), 2);
-        t.lookup_linear(&pkt);
-        assert_eq!(t.packet_count(0), 3);
-        assert_eq!(t.total_hits(), 3);
+        // The switch counts each hit at the position either lookup returns.
+        let mut sw = crate::SoftSwitch::new([1]);
+        sw.install_rule(FlowRule::new(1, Match::any(), vec![]));
+        let pkt = Packet::new().with(Field::Port, 1u32);
+        sw.process(&pkt);
+        sw.process(&pkt);
+        assert_eq!(sw.table().packet_count(0), 2);
+        sw.set_linear_scan(true);
+        sw.process(&pkt);
+        assert_eq!(sw.table().packet_count(0), 3);
+        assert_eq!(sw.table().total_hits(), 3);
     }
 
     #[test]
@@ -465,8 +447,8 @@ mod tests {
         assert_eq!(t.rules()[0].cookie, 9);
         // The index survives removal: the remaining rule is still found.
         let pkt = Packet::new().with(Field::Port, 3u32);
-        assert_eq!(t.lookup(&pkt).unwrap().cookie, 9);
-        assert!(t.lookup(&Packet::new().with(Field::Port, 1u32)).is_none());
+        assert_eq!(t.peek(&pkt).unwrap().cookie, 9);
+        assert!(t.peek(&Packet::new().with(Field::Port, 1u32)).is_none());
     }
 
     #[test]
@@ -521,12 +503,12 @@ mod tests {
         assert_eq!(t.len(), 1);
         // The index survives: the remaining rule is still found.
         assert_eq!(
-            t.lookup(&Packet::new().with(Field::Port, 2u32))
+            t.peek(&Packet::new().with(Field::Port, 2u32))
                 .unwrap()
                 .priority,
             3
         );
-        assert!(t.lookup(&Packet::new().with(Field::Port, 1u32)).is_none());
+        assert!(t.peek(&Packet::new().with(Field::Port, 1u32)).is_none());
     }
 
     #[test]

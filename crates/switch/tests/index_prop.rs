@@ -201,9 +201,16 @@ proptest! {
                             if let Some(mac) = mac {
                                 pkt.set(Field::DstMac, mac);
                             }
-                            let a = indexed.lookup(&pkt);
-                            let b = oracle.lookup_linear(&pkt);
+                            let a = indexed.peek_pos(&pkt);
+                            let b = oracle.peek_pos_linear(&pkt);
                             prop_assert_eq!(a, b, "probe {:?}", pkt);
+                            // Count each hit the way the switch does, so the
+                            // counters must stay aligned through every
+                            // mutation.
+                            if let (Some(a), Some(b)) = (a, b) {
+                                indexed.add_hits(a, 1);
+                                oracle.add_hits(b, 1);
+                            }
                         }
                     }
                 }
