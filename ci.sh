@@ -212,6 +212,15 @@ grep -q '"checked_eq_batch":true' "$smoke_dir/churn.json" || {
 grep -q '"disagreed":0' "$smoke_dir/churn.json" || {
     echo "ci: incremental verdicts disagreed with the from-scratch oracle" >&2; exit 1
 }
+# Every streamed make-before-break delta must be certified by the
+# structural gate alone. The gate keeps no cache for symbolic checks, so a
+# fall in the structural share would otherwise show only as a slower delta
+# path.
+if ! grep -o '"delta_checked":[0-9]*\|"delta_structural":[0-9]*' "$smoke_dir/churn.json" \
+    | awk -F: '/checked/ { c = $2; n++ } /structural/ { if ($2 != c) bad = 1 }
+               END { exit (bad || n == 0) }'; then
+    echo "ci: a checked churn delta was not certified structurally" >&2; exit 1
+fi
 # Per-delta check latency budget: 20x the committed full-run p99. The
 # quick fabric is far smaller than the committed run's, so the headroom
 # only has to absorb CI machine noise.

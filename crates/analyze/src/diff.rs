@@ -40,20 +40,6 @@ impl DiffSide {
     fn fib(&self, participant: u32) -> Option<&FibModel> {
         self.fibs.iter().find(|f| f.participant == participant)
     }
-
-    /// Concrete end-to-end evaluation: all frames the pipeline finally
-    /// emits for `pkt`.
-    fn evaluate(&self, pkt: &Packet) -> std::collections::BTreeSet<Packet> {
-        let mut current: std::collections::BTreeSet<Packet> = [pkt.clone()].into();
-        for table in &self.tables {
-            let mut next = std::collections::BTreeSet::new();
-            for p in &current {
-                next.extend(table.evaluate(p));
-            }
-            current = next;
-        }
-        current
-    }
 }
 
 /// A confirmed difference plus timing; [`run`] returns the diagnostics.
@@ -82,14 +68,9 @@ struct Terminal {
 }
 
 fn terminals(side: &DiffSide, port: u32, tag: u64) -> Option<Vec<Terminal>> {
-    let region = Region::from_match(
-        Match::on(Field::Port, Pattern::Exact(port as u64))
-            .and(Field::DstMac, Pattern::Exact(tag))
-            .expect("distinct fields"),
-    );
     let result = hs::transit_pipeline(
         &side.tables,
-        vec![Flow::new(region)],
+        vec![Flow::new(hs::injection_region(port, tag))],
         Field::DstMac,
         TRANSIT_REGION_LIMIT,
     );
@@ -129,8 +110,8 @@ fn confirm(
     old_tag: u64,
     new_tag: u64,
 ) -> Option<(String, String)> {
-    let out_old = old.evaluate(&witness.clone().with(Field::DstMac, old_tag));
-    let out_new = new.evaluate(&witness.clone().with(Field::DstMac, new_tag));
+    let out_old = hs::outcome(&old.tables, &witness.clone().with(Field::DstMac, old_tag));
+    let out_new = hs::outcome(&new.tables, &witness.clone().with(Field::DstMac, new_tag));
     // Identical frames are equal whatever the tags: a real router MAC used
     // as one side's tag comes out rewritten to itself, not as an echo.
     if out_old == out_new {

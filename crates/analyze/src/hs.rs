@@ -15,6 +15,8 @@
 //! exactly one terminal ([`TransitResult::outputs`] entries sharing a region
 //! come from one multi-action rule and denote multicast copies).
 
+use std::collections::BTreeSet;
+
 use sdx_policy::{Action, Classifier, Field, Match, Packet, Pattern, Region, Rule};
 
 /// Per-injection cap on tracked regions; past it the transit gives up and
@@ -260,6 +262,35 @@ pub fn transit_pipeline(
     result
 }
 
+/// The header space a sender's border router injects from fabric `port`
+/// under the VMAC `tag`: every packet entering on `port` whose destination
+/// MAC is `tag`. Every gate pushes exactly this region through the
+/// pipeline, once per emission key.
+pub fn injection_region(port: u32, tag: u64) -> Region {
+    // `Match::and` fails only when the field it adds is already constrained
+    // by a disjoint pattern. `Match::on` constrains `Port` alone, so adding
+    // `DstMac` cannot fail.
+    let m = Match::on(Field::Port, Pattern::Exact(u64::from(port)))
+        .and(Field::DstMac, Pattern::Exact(tag))
+        .expect("Port and DstMac are distinct fields");
+    Region::from_match(m)
+}
+
+/// The concrete outcome of `pkt` through a pipeline: each table in
+/// traversal order, every output of table *i* entering table *i+1* (what
+/// [`transit_pipeline`] computes symbolically). The empty set means the
+/// packet is dropped.
+pub fn outcome(tables: &[Classifier], pkt: &Packet) -> BTreeSet<Packet> {
+    let mut cur: BTreeSet<Packet> = [pkt.clone()].into();
+    for table in tables {
+        cur = cur.iter().flat_map(|p| table.evaluate(p)).collect();
+        if cur.is_empty() {
+            break;
+        }
+    }
+    cur
+}
+
 /// Result of [`transit_pipeline`].
 #[derive(Debug, Clone, Default)]
 pub struct PipelineResult {
@@ -275,7 +306,7 @@ impl PipelineResult {
     /// The symbolic outcome of a concrete packet inside the injected region:
     /// the set of final packets the pipeline emits for it. Exactness check
     /// for the property tests — must agree with concrete evaluation.
-    pub fn concrete_outcome(&self, pkt: &Packet) -> std::collections::BTreeSet<Packet> {
+    pub fn concrete_outcome(&self, pkt: &Packet) -> BTreeSet<Packet> {
         self.outputs
             .iter()
             .filter(|(o, _)| o.flow.region.contains(pkt))
@@ -401,6 +432,21 @@ mod tests {
                 concrete.extend(tables[1].evaluate(&out));
             }
             assert_eq!(r.concrete_outcome(&pkt), concrete, "dp={dp} sp={sp}");
+            assert_eq!(outcome(&tables, &pkt), concrete, "dp={dp} sp={sp}");
+        }
+    }
+
+    #[test]
+    fn injection_region_pins_port_and_tag() {
+        for (port, tag) in [(0u32, 0u64), (7, 0x02aa), (u32::MAX, (1 << 48) - 1)] {
+            let region = injection_region(port, tag);
+            let pkt = Packet::new()
+                .with(Field::Port, port)
+                .with(Field::DstMac, tag)
+                .with(Field::DstIp, 0x0a00_0001u32);
+            assert!(region.contains(&pkt));
+            assert!(!region.contains(&pkt.clone().with(Field::DstMac, tag ^ 1)));
+            assert!(!region.contains(&pkt.with(Field::Port, port ^ 1)));
         }
     }
 }

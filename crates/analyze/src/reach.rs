@@ -196,16 +196,10 @@ fn check_injection(
     times: &mut ReachTimes,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let region = Region::from_match(
-        Match::on(Field::Port, Pattern::Exact(port as u64))
-            .and(Field::DstMac, Pattern::Exact(mac))
-            .expect("distinct fields"),
-    );
-
     let t = Instant::now();
     let result = hs::transit_pipeline(
         &input.tables,
-        vec![Flow::new(region)],
+        vec![Flow::new(hs::injection_region(port, mac))],
         Field::DstMac,
         TRANSIT_REGION_LIMIT,
     );

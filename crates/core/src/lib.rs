@@ -56,7 +56,7 @@ pub use sdx_analyze::{
     GroupBinding, ReachReport, Severity, VerifyInput,
 };
 pub use sdx_plan::{
-    DeltaReport, DeltaVerdict, IncStats, PlanReport, PlanStep, Schedule, Violation, ViolationKind,
+    DeltaReport, DeltaVerdict, PlanReport, PlanStep, Schedule, Violation, ViolationKind,
 };
 pub use sim::{Delivery, FabricSim};
 pub use vnh::VnhAllocator;

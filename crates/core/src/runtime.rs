@@ -24,7 +24,7 @@ use std::time::Instant;
 use sdx_analyze::AnalysisMode;
 use sdx_bgp::{ExportPolicy, PathAttributes, RouteServer, RpkiStatus, RpkiValidator, Update};
 use sdx_ip::{MacAddr, Prefix};
-use sdx_plan::{DeltaOp, PlanReport, TableState};
+use sdx_plan::{DeltaOp, PlanReport, PlanStep, TableState};
 use sdx_policy::{Classifier, Packet};
 use sdx_switch::{
     ArpReply, ArpRequest, ArpResponder, BatchOutput, BorderRouter, FlowTable, ShardedSwitch,
@@ -87,8 +87,10 @@ pub struct IncrementalStats {
     /// Certified deltas decided by the structural region-disjointness gate
     /// alone (subset of `delta_certified`; zero symbolic work).
     pub delta_structural: u64,
-    /// Checked deltas whose proposed schedule was unsafe but a safe
-    /// reordering was synthesized and installed.
+    /// Checked deltas whose proposed schedule was unsafe but for which the
+    /// ordering search found a safe reordering. The reordering is evidence
+    /// in the delta's report: the fast path installs only its
+    /// make-before-break order.
     pub delta_reordered: u64,
     /// Checked deltas for which no per-packet-consistent schedule exists.
     pub delta_rejected: u64,
@@ -316,12 +318,6 @@ impl SdxRuntime {
         }
     }
 
-    /// The incremental delta verifier's internal counters (`None` until a
-    /// compile ran with [`CompileOptions::delta_check`] active).
-    pub fn delta_checker_stats(&self) -> Option<sdx_plan::IncStats> {
-        self.delta_checker.as_ref().map(|c| c.stats())
-    }
-
     /// Keep up to `limit` per-delta verdict records (see
     /// [`delta_log`](Self::delta_log)); 0 (the default) disables logging.
     pub fn set_delta_log_limit(&mut self, limit: usize) {
@@ -491,16 +487,15 @@ impl SdxRuntime {
         let stats = compilation.stats;
         self.compilation = Some(compilation);
         // Reseed the incremental delta verifier from the freshly installed
-        // state: the tables changed wholesale, so every cached partition and
-        // the whole emissions model start over.
+        // state: the tables changed wholesale, so the whole emissions model
+        // starts over.
         if self.options.delta_check != AnalysisMode::Off {
             if let Some(vi) = self.verify_input() {
-                let state = self.installed_state();
                 let judge = self.delta_judge_naive;
                 let checker = self
                     .delta_checker
                     .get_or_insert_with(sdx_plan::IncrementalChecker::new);
-                checker.seed(&vi, &state);
+                checker.seed(&vi);
                 checker.set_judge_naive(judge);
             }
         }
@@ -800,8 +795,16 @@ impl SdxRuntime {
         // reoptimize recovers. (A VNH allocated above stays consumed until
         // that reoptimize resets the pool — bounded by the deny window.)
         let checked = if self.delta_check_active() {
-            let old_state = self.overlay_state(&prefix);
-            let steps = sdx_plan::diff(&[old_state], std::slice::from_ref(&new_state));
+            // The delta, in the order a differ emits it: the old fragment's
+            // removals, then the new fragment's installs. The two never
+            // share a rule, since every new priority lies above the ceiling.
+            let step = |op, rule| PlanStep { table: 0, op, rule };
+            let removals = self.overlay_state(&prefix).into_iter();
+            let installs = new_state.iter().cloned();
+            let steps: Vec<PlanStep> = removals
+                .map(|rule| step(DeltaOp::Remove, rule))
+                .chain(installs.map(|rule| step(DeltaOp::Install, rule)))
+                .collect();
             let schedule = sdx_plan::make_before_break(&steps);
             let adverts = self.route_server.advert_map(&prefix);
             let adds = vmac
@@ -816,11 +819,10 @@ impl SdxRuntime {
             return DeltaInstall::default();
         }
 
-        // Installs, then the barrier, then removals. Old and new fragments
-        // never share rule content (distinct VMAC tags), so the schedule's
-        // install side is exactly the new fragment and its removal side
-        // exactly the old cookie's rules, which one `remove_by_cookie`
-        // retires with a single index rebuild.
+        // The checked schedule: installs, then the barrier, then removals.
+        // Its install side is the new fragment and its removal side the old
+        // cookie's rules, which one `remove_by_cookie` retires with a single
+        // index rebuild.
         let installed = new_state.len();
         let overlay = fresh.map(|(vnh, vmac)| {
             let cookie = self.next_cookie;
@@ -838,14 +840,6 @@ impl SdxRuntime {
             }
         });
         let removed = self.retire_overlay(prefix);
-        if let Some((ev, _)) = &checked {
-            let schedule = &ev.schedule;
-            debug_assert_eq!(
-                (schedule.barrier, schedule.order.len() - schedule.barrier),
-                (installed, removed),
-                "checked schedule diverged from the installed delta"
-            );
-        }
         if let Some(o) = overlay {
             self.arp.bind(o.vnh, o.vmac);
             self.overlays.push(o);
@@ -860,7 +854,7 @@ impl SdxRuntime {
             .saturating_add(removed as u64);
         if let Some((ev, _)) = checked {
             if let Some(c) = self.delta_checker.as_mut() {
-                c.commit(&ev, &ev.schedule.order);
+                c.commit(&ev);
             }
         }
         DeltaInstall { installed, removed }
@@ -921,7 +915,7 @@ impl SdxRuntime {
         adds: Vec<sdx_plan::EmissionKey>,
         advert_now: Vec<(u32, u32)>,
         schedule: sdx_plan::Schedule,
-        naive: Vec<sdx_plan::PlanStep>,
+        naive: Vec<PlanStep>,
     ) -> Option<(sdx_plan::DeltaEvent, bool)> {
         let mut ev = sdx_plan::DeltaEvent {
             prefix,
@@ -943,7 +937,7 @@ impl SdxRuntime {
         let tables = (need || sample_due || self.delta_judge_naive).then(|| self.installed_state());
         let mut report = self
             .delta_checker
-            .as_mut()?
+            .as_ref()?
             .check_delta(&ev, tables.as_deref());
         report.check_us = clamp_us(start.elapsed().as_micros());
 
@@ -967,8 +961,8 @@ impl SdxRuntime {
         s.last_check_us = s.last_check_us.saturating_add(report.check_us);
 
         // From-scratch oracle on sampled events (which carry tables): same
-        // verdict pipeline, no cache, no gate, full universe — the
-        // soundness cross-check.
+        // verdict pipeline, no gate, full universe — the soundness
+        // cross-check.
         let mut from_scratch = None;
         let mut from_scratch_us = 0;
         let mut agreed = None;
@@ -990,9 +984,6 @@ impl SdxRuntime {
             self.incremental.delta_denied = self.incremental.delta_denied.saturating_add(1);
             self.pending_deny_fallbacks = self.pending_deny_fallbacks.saturating_add(1);
             self.needs_reoptimize = true;
-            if let Some(c) = self.delta_checker.as_mut() {
-                c.abort();
-            }
         }
         if self.delta_log.len() < self.delta_log_limit {
             self.delta_log.push(DeltaRecord {

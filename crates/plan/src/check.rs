@@ -31,10 +31,13 @@
 //! The checker runs the header-space engine ([`sdx_analyze::hs`]) over the
 //! intermediate tables once per (dirty) injection, harvests candidate
 //! witness packets from every terminal region, and adjudicates each witness
-//! by *concrete* evaluation against the old and new pipelines — symbolic
-//! coverage, concrete precision. Incrementality comes from tag pinning:
-//! a step whose rule is pinned to one VMAC tag can only change the behavior
-//! of that tag's injections, so everything else stays verified for free.
+//! by *concrete* evaluation ([`hs::outcome`]) against the old and new
+//! pipelines — symbolic coverage, concrete precision. Incrementality comes
+//! from tag pinning: a step whose rule is pinned to one VMAC tag can only
+//! change the behavior of that tag's injections, so everything else stays
+//! verified for free. Each injection's old and new terminal-region
+//! partitions are computed once per checker and reused at every
+//! intermediate state that one judge or search visits.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -120,9 +123,9 @@ pub(crate) struct Injection {
     pub(crate) new_prefixes: Vec<Prefix>,
 }
 
-/// One injection's cached terminal-region partition of one pipeline;
-/// `None` records saturation.
-pub(crate) type SidePartition = Option<Vec<Region>>;
+/// One injection's `(old, new)` terminal-region partitions; `None` when
+/// either pipeline saturates on it.
+type ReferencePartitions = Option<(Vec<Region>, Vec<Region>)>;
 
 /// The immutable context a plan is checked against.
 pub struct Checker {
@@ -135,29 +138,9 @@ pub struct Checker {
     /// Physical port → owner, union of old and new registrations.
     port_owner: BTreeMap<u32, u32>,
     vport_base: u32,
-    /// Per-injection terminal-region partitions of the *old* and *new*
-    /// pipelines, computed lazily (state-independent, so cacheable across
-    /// every intermediate state). Split by side so an incremental caller
-    /// can seed the old side from a persistent cache and harvest the new
-    /// side after the event commits.
-    old_partitions: RefCell<BTreeMap<usize, SidePartition>>,
-    new_partitions: RefCell<BTreeMap<usize, SidePartition>>,
-}
-
-/// The concrete pipeline outcome of one packet: evaluate each table in
-/// traversal order, feeding every output of table *i* into table *i+1*
-/// (the same semantics [`hs::transit_pipeline`] uses symbolically). The
-/// empty set means the packet is dropped.
-pub fn outcome(tables: &[Classifier], pkt: &Packet) -> BTreeSet<Packet> {
-    let mut cur: BTreeSet<Packet> = BTreeSet::new();
-    cur.insert(pkt.clone());
-    for table in tables {
-        cur = cur.iter().flat_map(|p| table.evaluate(p)).collect();
-        if cur.is_empty() {
-            break;
-        }
-    }
-    cur
+    /// Per-injection reference partitions, computed lazily
+    /// (state-independent, so cacheable across every intermediate state).
+    references: RefCell<BTreeMap<usize, ReferencePartitions>>,
 }
 
 /// Every terminal region of `tables` on `region` — output *and* drop
@@ -251,61 +234,26 @@ impl Checker {
             advertised,
             port_owner,
             vport_base,
-            old_partitions: RefCell::new(BTreeMap::new()),
-            new_partitions: RefCell::new(BTreeMap::new()),
+            references: RefCell::new(BTreeMap::new()),
         }
-    }
-
-    /// The (sender, port, tag) key of `injections[idx]`.
-    pub(crate) fn injection_key(&self, idx: usize) -> (u32, u32, u64) {
-        let inj = &self.injections[idx];
-        (inj.sender, inj.port, inj.tag)
-    }
-
-    /// Seed the cached *old*-pipeline partition for one injection (from a
-    /// persistent cache computed against the identical tables earlier).
-    pub(crate) fn seed_old_partition(&self, idx: usize, parts: SidePartition) {
-        self.old_partitions.borrow_mut().insert(idx, parts);
-    }
-
-    /// Export every *new*-pipeline partition computed during checking, so
-    /// the caller can persist them once the delta commits (the new tables
-    /// become the current ones).
-    pub(crate) fn take_new_partitions(&self) -> BTreeMap<usize, SidePartition> {
-        std::mem::take(&mut *self.new_partitions.borrow_mut())
     }
 
     /// The injection region of `injections[idx]`: one sender port, one tag.
     fn injection_region(&self, idx: usize) -> Region {
         let inj = &self.injections[idx];
-        Region::from_match(
-            Match::on(Field::Port, Pattern::Exact(inj.port as u64))
-                .and(Field::DstMac, Pattern::Exact(inj.tag))
-                .expect("distinct fields"),
-        )
-    }
-
-    /// One side's terminal-region partition for one injection, cached.
-    fn side_partition(
-        &self,
-        cache: &RefCell<BTreeMap<usize, SidePartition>>,
-        tables: &[Classifier],
-        idx: usize,
-    ) -> SidePartition {
-        if let Some(cached) = cache.borrow().get(&idx) {
-            return cached.clone();
-        }
-        let computed = terminal_regions(tables, self.injection_region(idx));
-        cache.borrow_mut().insert(idx, computed.clone());
-        computed
+        hs::injection_region(inj.port, inj.tag)
     }
 
     /// Old/new terminal-region partitions for one injection, cached.
-    /// `None` when either pipeline saturates on it.
-    fn reference_partitions(&self, idx: usize) -> Option<(Vec<Region>, Vec<Region>)> {
-        let old = self.side_partition(&self.old_partitions, &self.old_tables, idx);
-        let new = self.side_partition(&self.new_partitions, &self.new_tables, idx);
-        old.zip(new)
+    fn reference_partitions(&self, idx: usize) -> ReferencePartitions {
+        if let Some(cached) = self.references.borrow().get(&idx) {
+            return cached.clone();
+        }
+        let region = self.injection_region(idx);
+        let computed = terminal_regions(&self.old_tables, region.clone())
+            .zip(terminal_regions(&self.new_tables, region));
+        self.references.borrow_mut().insert(idx, computed.clone());
+        computed
     }
 
     /// Is `tag` retired — emitted by the old FIBs but by no new FIB? Steps
@@ -450,9 +398,9 @@ impl Checker {
 
         let mut out = Vec::new();
         for w in witnesses {
-            let mid = outcome(tables, &w);
-            let old = outcome(&self.old_tables, &w);
-            let new = outcome(&self.new_tables, &w);
+            let mid = hs::outcome(tables, &w);
+            let old = hs::outcome(&self.old_tables, &w);
+            let new = hs::outcome(&self.new_tables, &w);
             // Pre-barrier: old always allowed; new only if the new FIBs
             // emit the identical packet (same tag, same destination) — a
             // packet the new world never produces has no claim to the new

@@ -117,9 +117,7 @@ pub fn state_of_table(table: &FlowTable) -> TableState {
 
 /// The [`TableState`] of just the rules in `table` carrying `cookie` —
 /// the live content of one install generation (e.g. a fast-path overlay
-/// fragment), in table order. Diffing this against a freshly compiled
-/// fragment yields the rule-level steps that migrate the generation
-/// without touching the rest of the table.
+/// fragment), in table order.
 pub fn state_of_cookie(table: &FlowTable, cookie: u64) -> TableState {
     table
         .rules()

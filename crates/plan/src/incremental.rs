@@ -22,28 +22,24 @@
 //!   per-prefix tag (no new-generation emissions), so both conditions fail
 //!   for every injection and the schedule is **structurally certified**
 //!   with zero symbolic work — the common case at churn rate.
-//! * **Seeded partition cache.** When a delta does force symbolic work, the
-//!   transient [`Checker`] is seeded with the persistent per-injection
-//!   terminal-region partitions of the current tables (the "old" side of
-//!   the event), and the new-side partitions it computes are harvested
-//!   back once the delta commits. Cache entries are invalidated by tag:
-//!   a committed step pinned to tag *t* drops exactly the partitions whose
-//!   injection region carries *t*; an unpinned step drops everything.
-//! * **Tag → rule dependency index.** Rule counts per pinned tag (and the
-//!   unpinned-rule count) are maintained from the committed steps, giving
-//!   the gate its candidate injections without scanning tables.
+//! * **Symbolic fallback.** A delta the gate cannot certify is judged by a
+//!   transient [`Checker`] built for the event, over the tag-closed
+//!   universe of emission keys its steps can touch.
 //!
-//! The verdict pipeline mirrors the batch planner: judge the proposed
-//! `make_before_break` schedule (pre-barrier states in [`Phase::Update`],
-//! the barrier and post-barrier states in [`Phase::NewExact`]); on
-//! violations, rerun the DFS ordering search scoped to the dirty set; if
-//! that also fails, reject with the witness packets. The soundness claim —
-//! that the restricted check decides exactly what checking *every*
-//! injection at *every* intermediate state would — is executable:
-//! [`IncrementalChecker::check_from_scratch`] runs the same protocol with
-//! no cache, no gate, and the full injection universe, and the
-//! `delta_check_prop` proptest asserts verdict equality over random churn
-//! fabrics.
+//! Only [`seed`](IncrementalChecker::seed) and
+//! [`commit`](IncrementalChecker::commit) change the model; checking a
+//! delta only reads it. The verdict pipeline mirrors the batch planner:
+//! judge the proposed `make_before_break` schedule with the one schedule
+//! judge the planner's two-phase fallback also runs (pre-barrier states
+//! in [`Phase::Update`], the barrier and post-barrier states in
+//! [`Phase::NewExact`]); on violations, rerun the DFS ordering search
+//! scoped to the dirty set; if that also fails, reject with the witness
+//! packets. The soundness claim — that the restricted check decides
+//! exactly what checking *every* injection at *every* intermediate state
+//! would — is executable: [`IncrementalChecker::check_from_scratch`] runs
+//! the same protocol with no gate and the full injection universe, and the
+//! `delta_prop` integration test asserts verdict equality on every event
+//! of random churn fabrics.
 //!
 //! One modeling assumption underpins the region math: pipeline tables may
 //! rewrite the destination MAC only *away from* the tag space (tag → real
@@ -56,14 +52,15 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+use sdx_analyze::hs;
 pub use sdx_analyze::EmissionKey;
 use sdx_analyze::VerifyInput;
 use sdx_ip::{Prefix, PrefixSet};
-use sdx_policy::{Classifier, Field, Match, Pattern, Region};
+use sdx_policy::{Classifier, Field, Match, Region};
 
-use crate::check::{Checker, Injection, Phase, SidePartition, Violation};
+use crate::check::{Checker, Injection, Phase, Violation};
 use crate::delta::{apply, classifier_of, PlanStep, TableState};
-use crate::search::{judge_order, synthesize, Schedule};
+use crate::search::{judge_order, judge_schedule, synthesize, Schedule};
 
 /// How the checker decided one streamed delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,35 +207,6 @@ fn render_schedule(s: &Option<Schedule>) -> String {
     }
 }
 
-/// Counters for the incremental checker (all saturating).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IncStats {
-    /// Deltas checked.
-    pub events: u64,
-    /// Certified by the structural region-disjointness gate alone.
-    pub certified_structural: u64,
-    /// Certified after symbolic checking of the dirty set.
-    pub certified_symbolic: u64,
-    /// Reordered by the DFS search.
-    pub reordered: u64,
-    /// Rejected as unsafe (or undecidable).
-    pub rejected: u64,
-    /// Intermediate states symbolically checked.
-    pub states_checked: u64,
-    /// Dirty injections handed to symbolic checking.
-    pub injections_dirty: u64,
-    /// Transient checkers seeded from the persistent partition cache.
-    pub partition_seeded: u64,
-    /// New-side partitions harvested back into the cache.
-    pub partition_harvested: u64,
-    /// Full reseeds (one per compile).
-    pub seeds: u64,
-}
-
-fn sat(c: &mut u64, by: u64) {
-    *c = c.saturating_add(by);
-}
-
 /// The persistent incremental verifier. One instance lives inside the
 /// runtime, reseeded at every full compile and consulted on every streamed
 /// delta before it is installed.
@@ -247,10 +215,10 @@ pub struct IncrementalChecker {
     /// Current emission map: key → destinations that key's router emits.
     ///
     /// The per-event maps (`emissions`, `by_prefix`, `keys_by_tag`,
-    /// `advert_by_prefix`, `tag_rules`) are hash maps, not ordered maps:
-    /// with thousands of live prefixes the commit path performs hundreds of
-    /// probes per streamed event, and flat hashing beats deep tree walks
-    /// both in probe cost and in cache footprint. Nothing observable
+    /// `advert_by_prefix`) are hash maps, not ordered maps: with thousands
+    /// of live prefixes the commit path performs hundreds of probes per
+    /// streamed event, and flat hashing beats deep tree walks both in probe
+    /// cost and in cache footprint. Nothing observable
     /// iterates them directly — every consumer collects into an ordered
     /// set first, so verdicts stay deterministic.
     emissions: HashMap<EmissionKey, BTreeSet<Prefix>>,
@@ -267,28 +235,14 @@ pub struct IncrementalChecker {
     advert_by_prefix: HashMap<Prefix, Vec<(u32, u32)>>,
     port_owner: BTreeMap<u32, u32>,
     vport_base: u32,
-    /// Per-injection terminal-region partitions of the *current* tables.
-    partitions: BTreeMap<EmissionKey, SidePartition>,
-    /// Tag → live rules pinned to it (dependency index; maintained from
-    /// committed steps).
-    tag_rules: HashMap<u64, usize>,
-    /// Live rules with no exact-DstMac pin.
-    unpinned_rules: usize,
-    /// New-side partitions awaiting commit of the checked delta.
-    pending: Option<BTreeMap<EmissionKey, SidePartition>>,
     /// Judge the naive differ order of every delta for evidence
     /// (`sdx-lint --delta`; forces symbolic machinery per event).
     judge_naive: bool,
-    stats: IncStats,
 }
 
 /// The header-space region of one emission key: its ingress port and tag.
 fn key_region(key: &EmissionKey) -> Region {
-    Region::from_match(
-        Match::on(Field::Port, Pattern::Exact(key.1 as u64))
-            .and(Field::DstMac, Pattern::Exact(key.2))
-            .expect("distinct fields"),
-    )
+    hs::injection_region(key.1, key.2)
 }
 
 /// The header-space region a step's rule can affect, as seen at pipeline
@@ -313,11 +267,9 @@ impl IncrementalChecker {
         IncrementalChecker::default()
     }
 
-    /// Reseed from a full compile: the live verifier input (FIBs decide the
-    /// emissions, `advertised` the ground truth) and the installed table
-    /// state (rebuilds the tag → rule dependency index). Drops every cached
-    /// partition — the tables just changed wholesale.
-    pub fn seed(&mut self, vi: &VerifyInput, state: &[TableState]) {
+    /// Reseed from a full compile's live verifier input: its FIBs decide
+    /// the emissions, `advertised` the ground truth.
+    pub fn seed(&mut self, vi: &VerifyInput) {
         self.emissions = vi.emissions().into_iter().collect();
         self.by_prefix.clear();
         self.keys_by_tag.clear();
@@ -348,29 +300,6 @@ impl IncrementalChecker {
             .flat_map(|(id, ports)| ports.iter().map(|p| (*p, *id)))
             .collect();
         self.vport_base = vi.vport_base;
-        self.partitions.clear();
-        self.pending = None;
-        self.tag_rules.clear();
-        self.unpinned_rules = 0;
-        for table in state {
-            for rule in table {
-                match rule.match_.get(Field::DstMac) {
-                    Some(Pattern::Exact(t)) => *self.tag_rules.entry(*t).or_insert(0) += 1,
-                    _ => self.unpinned_rules += 1,
-                }
-            }
-        }
-        sat(&mut self.stats.seeds, 1);
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> IncStats {
-        self.stats
-    }
-
-    /// Live rules pinned to `tag` per the dependency index.
-    pub fn tag_rule_count(&self, tag: u64) -> usize {
-        self.tag_rules.get(&tag).copied().unwrap_or(0)
     }
 
     /// Enable judging the naive differ order of every delta (evidence for
@@ -525,16 +454,15 @@ impl IncrementalChecker {
             .collect()
     }
 
-    /// Build the transient [`Checker`] for one event over `keys`, plus the
-    /// post-schedule table state. `seed` pulls old-side partitions from the
-    /// persistent cache; returns how many it pulled.
+    /// Build the transient [`Checker`] for one event over `keys`: the
+    /// tables before and after the proposed schedule, and the union ground
+    /// truth.
     fn transient_checker(
         &self,
         ev: &DeltaEvent,
         keys: &BTreeSet<EmissionKey>,
         initial: &[TableState],
-        seed: bool,
-    ) -> (Checker, u64) {
+    ) -> Checker {
         let injections = self.build_injections(ev, keys);
         let old_tables: Vec<Classifier> = initial.iter().map(classifier_of).collect();
         let mut new_state = initial.to_vec();
@@ -546,36 +474,22 @@ impl IncrementalChecker {
         for (a, v) in &ev.advert_now {
             advertised.entry((*a, *v)).or_default().insert(ev.prefix);
         }
-        let n = injections.len();
-        let checker = Checker::from_parts(
+        Checker::from_parts(
             old_tables,
             new_tables,
             injections,
             advertised,
             self.port_owner.clone(),
             self.vport_base,
-        );
-        let mut seeded = 0;
-        if seed {
-            for idx in 0..n {
-                if let Some(parts) = self.partitions.get(&checker.injection_key(idx)) {
-                    checker.seed_old_partition(idx, parts.clone());
-                    seeded += 1;
-                }
-            }
-        }
-        (checker, seeded)
+        )
     }
 
     /// Check a streamed delta. `tables` (the installed state) is required
     /// exactly when [`needs_tables`](Self::needs_tables) says so; the
-    /// structural fast path never touches it. The verdict must be followed
-    /// by [`commit`](Self::commit) (delta installed — as proposed or
-    /// reordered) or [`abort`](Self::abort) (install skipped).
-    pub fn check_delta(&mut self, ev: &DeltaEvent, tables: Option<&[TableState]>) -> DeltaReport {
-        sat(&mut self.stats.events, 1);
-        self.pending = None;
-
+    /// structural fast path never touches it. Checking changes nothing:
+    /// call [`commit`](Self::commit) once the delta is installed; a delta
+    /// whose install is skipped needs no call.
+    pub fn check_delta(&self, ev: &DeltaEvent, tables: Option<&[TableState]>) -> DeltaReport {
         let barrier = ev.schedule.barrier.min(ev.schedule.order.len());
         // `tables == None` is the caller asserting `needs_tables` said no —
         // don't re-run the structural gate it just ran (it is the hot path
@@ -593,46 +507,22 @@ impl IncrementalChecker {
         };
 
         let mut report = if !symbolic {
-            sat(&mut self.stats.certified_structural, 1);
             DeltaReport::certified(true)
         } else {
             let Some(initial) = tables else {
                 // Caller violated the needs_tables protocol; refuse rather
                 // than guess.
                 debug_assert!(false, "symbolic check requested without table state");
-                sat(&mut self.stats.rejected, 1);
                 let mut r = DeltaReport::certified(false);
                 r.verdict = DeltaVerdict::Rejected;
                 return r;
             };
-            let keys = self.universe(ev);
-            let (r, checker, seeded) = self.check_symbolic(ev, &keys, initial, true);
-            sat(&mut self.stats.partition_seeded, seeded);
-            if r.verdict != DeltaVerdict::Rejected {
-                // Harvest the new-side partitions for the persistent cache;
-                // they describe the post-delta tables, valid once the delta
-                // commits (any safe schedule ends in the same final state).
-                let mut harvest = BTreeMap::new();
-                for (idx, parts) in checker.take_new_partitions() {
-                    harvest.insert(checker.injection_key(idx), parts);
-                }
-                sat(&mut self.stats.partition_harvested, harvest.len() as u64);
-                self.pending = Some(harvest);
-            }
-            match r.verdict {
-                DeltaVerdict::Certified => sat(&mut self.stats.certified_symbolic, 1),
-                DeltaVerdict::Reordered => sat(&mut self.stats.reordered, 1),
-                DeltaVerdict::Rejected => sat(&mut self.stats.rejected, 1),
-            }
-            sat(&mut self.stats.states_checked, r.states_checked as u64);
-            sat(&mut self.stats.injections_dirty, r.dirty_injections as u64);
-            r
+            self.check_symbolic(ev, &self.universe(ev), initial)
         };
 
         if self.judge_naive && !ev.naive.is_empty() {
             if let Some(initial) = tables {
-                let keys = self.full_universe(ev);
-                let (checker, _) = self.transient_checker(ev, &keys, initial, false);
+                let checker = self.transient_checker(ev, &self.full_universe(ev), initial);
                 let (naive, _us) = judge_order(&checker, initial, &ev.naive);
                 report.naive_violations = naive;
             }
@@ -642,19 +532,16 @@ impl IncrementalChecker {
 
     /// The symbolic pipeline over one universe: judge the proposed
     /// schedule, search for a reorder on violations. Shared verbatim by the
-    /// incremental path (restricted universe, seeded cache) and the
-    /// from-scratch oracle (full universe, cold cache) — the equivalence
-    /// proptest compares exactly these two instantiations. Returns the
-    /// report, the transient checker (holding the new-side partitions) and
-    /// how many cached partitions seeded it.
+    /// incremental path (restricted universe) and the from-scratch oracle
+    /// (full universe) — the equivalence test compares exactly these two
+    /// instantiations.
     fn check_symbolic(
         &self,
         ev: &DeltaEvent,
         keys: &BTreeSet<EmissionKey>,
         initial: &[TableState],
-        seed: bool,
-    ) -> (DeltaReport, Checker, u64) {
-        let (checker, seeded) = self.transient_checker(ev, keys, initial, seed);
+    ) -> DeltaReport {
+        let checker = self.transient_checker(ev, keys, initial);
         let dirty_injections = keys.len();
         let (violations, mut states_checked) = judge_schedule(&checker, initial, &ev.schedule);
 
@@ -674,7 +561,7 @@ impl IncrementalChecker {
             }
         };
 
-        let report = DeltaReport {
+        DeltaReport {
             verdict,
             structural: false,
             schedule,
@@ -683,72 +570,21 @@ impl IncrementalChecker {
             dirty_injections,
             states_checked,
             check_us: 0,
-        };
-        (report, checker, seeded)
+        }
     }
 
     /// The from-scratch oracle: the identical verdict pipeline with no
-    /// structural gate, no seeded partitions, and the full injection
-    /// universe — what a batch `sdx-plan` check of every intermediate state
-    /// decides. Used by the soundness proptest and the bench's speedup
-    /// measurement; never touches the persistent caches or counters.
+    /// structural gate and the full injection universe — what a batch
+    /// `sdx-plan` check of every intermediate state decides. Used by the
+    /// soundness test and the bench's speedup measurement.
     pub fn check_from_scratch(&self, ev: &DeltaEvent, tables: &[TableState]) -> DeltaReport {
-        let keys = self.full_universe(ev);
-        self.check_symbolic(ev, &keys, tables, false).0
+        self.check_symbolic(ev, &self.full_universe(ev), tables)
     }
 
-    /// Commit a checked delta: the steps of `installed` went into the live
-    /// tables and the prefix re-homed onto `ev.adds`. Updates the emission
-    /// maps, the advertisement truth, the tag index, and the partition
-    /// cache (invalidate touched tags, then land the pending harvest).
-    pub fn commit(&mut self, ev: &DeltaEvent, installed: &[PlanStep]) {
-        // Partition invalidation by touched tag.
-        let mut tags = BTreeSet::new();
-        let mut unpinned = false;
-        for step in installed {
-            match Checker::affected_tag(step) {
-                Some(t) => {
-                    tags.insert(t);
-                }
-                None => unpinned = true,
-            }
-        }
-        if unpinned {
-            self.partitions.clear();
-        } else if !tags.is_empty() {
-            self.partitions.retain(|key, _| !tags.contains(&key.2));
-        }
-        if let Some(harvest) = self.pending.take() {
-            self.partitions.extend(harvest);
-        }
-
-        // Tag → rule dependency index.
-        for step in installed {
-            let install = matches!(step.op, crate::delta::DeltaOp::Install);
-            match Checker::affected_tag(step) {
-                Some(t) if install => {
-                    let slot = self.tag_rules.entry(t).or_insert(0);
-                    *slot = slot.saturating_add(1);
-                }
-                // Drop zeroed entries in place rather than sweeping the
-                // whole index per event — it holds one entry per live tag.
-                Some(t) => {
-                    if let Some(slot) = self.tag_rules.get_mut(&t) {
-                        *slot = slot.saturating_sub(1);
-                        if *slot == 0 {
-                            self.tag_rules.remove(&t);
-                        }
-                    }
-                }
-                None if install => {
-                    self.unpinned_rules = self.unpinned_rules.saturating_add(1);
-                }
-                None => {
-                    self.unpinned_rules = self.unpinned_rules.saturating_sub(1);
-                }
-            }
-        }
-
+    /// Commit an installed delta: the prefix re-homed onto `ev.adds` and
+    /// its advertisements became `ev.advert_now`. Updates the emission maps
+    /// and the advertisement truth.
+    pub fn commit(&mut self, ev: &DeltaEvent) {
         // Re-home the prefix in the emission maps.
         let old_keys = self.by_prefix.remove(&ev.prefix).unwrap_or_default();
         for key in &old_keys {
@@ -813,67 +649,6 @@ impl IncrementalChecker {
             self.advert_by_prefix.insert(ev.prefix, now);
         }
     }
-
-    /// Drop the pending state of a checked delta whose install was skipped
-    /// (Deny). The tables, emissions, and caches all still describe the
-    /// live state — the stale overlay keeps forwarding until the full
-    /// reoptimize reseeds everything.
-    pub fn abort(&mut self) {
-        self.pending = None;
-    }
-}
-
-/// Judge an explicit schedule: apply the steps in order, checking each
-/// intermediate state — pre-barrier states in [`Phase::Update`] against the
-/// step's tag-dirty injections, the barrier state and every post-barrier
-/// state in [`Phase::NewExact`]. Mirrors the two-phase judging of
-/// [`crate::search::synthesize`]'s fallback, generalized to any given
-/// order. Returns the stamped violations and the states checked.
-fn judge_schedule(
-    checker: &Checker,
-    initial: &[TableState],
-    schedule: &Schedule,
-) -> (Vec<Violation>, usize) {
-    let mut state = initial.to_vec();
-    let mut violations = Vec::new();
-    let mut states = 0usize;
-    let barrier = schedule.barrier.min(schedule.order.len());
-    if barrier == 0 && !schedule.order.is_empty() {
-        // The barrier precedes every step: the *initial* state must already
-        // show exactly the new behavior to the new generation.
-        states += 1;
-        for mut v in checker.check_state(&state, &checker.all_injections(), Phase::NewExact) {
-            v.step = 0;
-            v.step_desc = "barrier".to_string();
-            violations.push(v);
-        }
-    }
-    for (i, step) in schedule.order.iter().enumerate() {
-        apply(&mut state, step);
-        states += 1;
-        let phase = if i < barrier {
-            Phase::Update
-        } else {
-            Phase::NewExact
-        };
-        let dirty = checker.dirty_injections(Checker::affected_tag(step));
-        for mut v in checker.check_state(&state, &dirty, phase) {
-            v.step = i;
-            v.step_desc = step.to_string();
-            violations.push(v);
-        }
-        if i + 1 == barrier {
-            // The barrier lands here: once the routers flip, this state
-            // must already show exactly the new behavior.
-            states += 1;
-            for mut v in checker.check_state(&state, &checker.all_injections(), Phase::NewExact) {
-                v.step = i;
-                v.step_desc = "barrier".to_string();
-                violations.push(v);
-            }
-        }
-    }
-    (violations, states)
 }
 
 #[cfg(test)]
@@ -881,7 +656,7 @@ mod tests {
     use super::*;
     use crate::delta::{DeltaOp, PlanRule};
     use crate::make_before_break;
-    use sdx_policy::Action;
+    use sdx_policy::{Action, Pattern};
 
     const SENDER: u32 = 1;
     const PORT: u32 = 10;
@@ -925,7 +700,6 @@ mod tests {
             .insert(pfx("10.0.0.0/8"), [(2, SENDER)].into());
         c.port_owner = [(PORT, SENDER), (EGRESS, 2u32)].into();
         c.vport_base = 1000;
-        c.tag_rules.insert(OLD_TAG, 1);
         let state = vec![vec![fwd_rule(OLD_TAG, 100)]];
         (c, state)
     }
@@ -948,7 +722,7 @@ mod tests {
 
     #[test]
     fn empty_schedule_structurally_certified() {
-        let (mut c, _state) = seeded();
+        let (c, _state) = seeded();
         let ev = DeltaEvent {
             prefix: pfx("10.0.0.0/8"),
             adds: vec![],
@@ -980,14 +754,12 @@ mod tests {
         let fs = c.check_from_scratch(&ev, &state);
         assert_eq!(fs.verdict, DeltaVerdict::Certified);
         assert!(r.agrees_with(&fs));
-        c.commit(&ev, &ev.schedule.order);
+        c.commit(&ev);
         assert_eq!(
             c.emissions.get(&(SENDER, PORT, NEW_TAG)),
             Some(&[pfx("10.0.0.0/8")].into())
         );
         assert!(!c.emissions.contains_key(&(SENDER, PORT, OLD_TAG)));
-        assert_eq!(c.tag_rule_count(NEW_TAG), 1);
-        assert_eq!(c.tag_rule_count(OLD_TAG), 0);
     }
 
     #[test]
@@ -1009,7 +781,7 @@ mod tests {
 
     #[test]
     fn premature_removal_schedule_is_reordered() {
-        let (mut c, state) = seeded();
+        let (c, state) = seeded();
         // A deliberately bad proposed schedule: removal before the barrier,
         // install after — every pre-barrier state blackholes OLD_TAG.
         let steps = vec![
@@ -1101,19 +873,6 @@ mod tests {
         assert!(r.violations.iter().any(|v| v.witness.is_some()));
         let fs = c.check_from_scratch(&ev, &state);
         assert!(r.agrees_with(&fs));
-        c.abort();
-        assert!(c.pending.is_none());
-    }
-
-    #[test]
-    fn partition_cache_invalidates_touched_tags() {
-        let (mut c, _) = seeded();
-        c.partitions.insert((SENDER, PORT, OLD_TAG), Some(vec![]));
-        c.partitions.insert((SENDER, PORT, 0xCC), Some(vec![]));
-        let ev = rehoming_event();
-        c.commit(&ev, &ev.schedule.order);
-        assert!(!c.partitions.contains_key(&(SENDER, PORT, OLD_TAG)));
-        assert!(c.partitions.contains_key(&(SENDER, PORT, 0xCC)));
     }
 
     #[test]
@@ -1136,7 +895,7 @@ mod tests {
         assert!(!c.needs_tables(&ev));
         let r = c.check_delta(&ev, None);
         assert_eq!(r.verdict, DeltaVerdict::Certified);
-        c.commit(&ev, &ev.schedule.order);
+        c.commit(&ev);
         assert!(c.emissions.is_empty());
         assert!(c.by_prefix.is_empty());
         assert!(c.advertised.get(&(2, SENDER)).unwrap().is_empty());

@@ -38,9 +38,7 @@ pub use delta::{
     classifier_of, diff, state_of_classifier, state_of_cookie, state_of_table, DeltaOp, PlanRule,
     PlanStep, TableState,
 };
-pub use incremental::{
-    DeltaEvent, DeltaReport, DeltaVerdict, EmissionKey, IncStats, IncrementalChecker,
-};
+pub use incremental::{DeltaEvent, DeltaReport, DeltaVerdict, EmissionKey, IncrementalChecker};
 pub use search::{judge_order, make_before_break, synthesize, Schedule, SearchResult};
 
 /// Default DFS node budget: far above what SDX churn deltas need, low

@@ -32,6 +32,13 @@
 //! two-phase plan fails its checks, the delta genuinely has no
 //! per-packet-consistent rule-granularity schedule and the plan is
 //! reported unsafe with the violating steps as witnesses.
+//!
+//! One loop judges every schedule with a barrier ([`judge_schedule`]): the
+//! two-phase fallback here and the streamed delta gate's proposed schedule
+//! in [`crate::incremental`]. [`judge_order`] judges a barrier-free
+//! ordering with the same per-step check.
+
+use std::fmt;
 
 use crate::check::{Checker, Phase, Violation};
 use crate::delta::{apply, DeltaOp, PlanStep, TableState};
@@ -83,6 +90,30 @@ pub fn make_before_break(steps: &[PlanStep]) -> Schedule {
     }
 }
 
+/// Apply `step` to `state` and check, in `phase`, the injections whose
+/// behavior the step can change (see [`Checker::affected_tag`]). The
+/// violations carry no step provenance yet.
+fn step_violations(
+    checker: &Checker,
+    state: &mut Vec<TableState>,
+    step: &PlanStep,
+    phase: Phase,
+) -> Vec<Violation> {
+    apply(state, step);
+    let dirty = checker.dirty_injections(Checker::affected_tag(step));
+    checker.check_state(state, &dirty, phase)
+}
+
+/// Stamp `found` with the step (index `step` of the judged ordering,
+/// rendered as `desc`) after which it occurs, and append it to `out`.
+fn stamp(found: Vec<Violation>, step: usize, desc: &dyn fmt::Display, out: &mut Vec<Violation>) {
+    out.extend(found.into_iter().map(|mut v| {
+        v.step = step;
+        v.step_desc = desc.to_string();
+        v
+    }));
+}
+
 /// Judge an explicit ordering (e.g. the naive differ emission order):
 /// apply the steps one by one and record every intermediate-state
 /// violation, stamped with the step index after which it occurs. An
@@ -101,19 +132,56 @@ pub fn judge_order(
     let mut violations = Vec::new();
     let start = std::time::Instant::now();
     for (i, step) in order.iter().enumerate() {
-        apply(&mut state, step);
-        let dirty = checker.dirty_injections(Checker::affected_tag(step));
-        for mut v in checker.check_state(&state, &dirty, Phase::Update) {
-            v.step = i;
-            v.step_desc = step.to_string();
-            violations.push(v);
-        }
+        let found = step_violations(checker, &mut state, step, Phase::Update);
+        stamp(found, i, step, &mut violations);
         if violations.len() >= crate::MAX_NAIVE_VIOLATIONS {
             violations.truncate(crate::MAX_NAIVE_VIOLATIONS);
             break;
         }
     }
     (violations, start.elapsed().as_micros())
+}
+
+/// Judge a schedule with a barrier: apply the steps in order and check
+/// each intermediate state against the injections its step can change,
+/// in [`Phase::Update`] before the barrier and [`Phase::NewExact`] after
+/// it; the barrier state itself is checked in [`Phase::NewExact`] against
+/// every injection. Returns the stamped violations and the number of
+/// states checked.
+pub(crate) fn judge_schedule(
+    checker: &Checker,
+    initial: &[TableState],
+    schedule: &Schedule,
+) -> (Vec<Violation>, usize) {
+    // Once the routers flip, the barrier state must already show exactly
+    // the new behavior to the new generation, before any later step runs.
+    let check_barrier = |state: &[TableState], step: usize, out: &mut Vec<Violation>| {
+        let found = checker.check_state(state, &checker.all_injections(), Phase::NewExact);
+        stamp(found, step, &"barrier", out);
+    };
+    let mut state = initial.to_vec();
+    let mut violations = Vec::new();
+    let mut states = 0usize;
+    let barrier = schedule.barrier.min(schedule.order.len());
+    if barrier == 0 && !schedule.order.is_empty() {
+        states += 1;
+        check_barrier(&state, 0, &mut violations);
+    }
+    for (i, step) in schedule.order.iter().enumerate() {
+        let phase = if i < barrier {
+            Phase::Update
+        } else {
+            Phase::NewExact
+        };
+        let found = step_violations(checker, &mut state, step, phase);
+        stamp(found, i, step, &mut violations);
+        states += 1;
+        if i + 1 == barrier {
+            states += 1;
+            check_barrier(&state, i, &mut violations);
+        }
+    }
+    (violations, states)
 }
 
 /// Is `step` a pure drain: the removal of a rule pinned to a retired tag?
@@ -185,13 +253,16 @@ pub fn synthesize(
     // Two-phase fallback: installs (old behavior must hold — the flow
     // table's first-installed-wins tie-break shields old rules inside
     // equal-priority bands), barrier, removals (new behavior must hold).
-    let mut phase_a: Vec<PlanStep> = update
+    // The barrier lands on the post-phase-A state: old rules still present,
+    // it must already show exactly the new behavior.
+    let mut order: Vec<PlanStep> = update
         .iter()
         .chain(drain.iter())
         .filter(|s| s.op == DeltaOp::Install)
         .cloned()
         .collect();
-    phase_a.sort_by_key(|s| u32::MAX - s.rule.priority);
+    order.sort_by_key(|s| u32::MAX - s.rule.priority);
+    let barrier = order.len();
     let mut phase_b: Vec<PlanStep> = update
         .iter()
         .chain(drain.iter())
@@ -199,62 +270,19 @@ pub fn synthesize(
         .cloned()
         .collect();
     phase_b.sort_by_key(|s| s.rule.priority);
-
-    let mut violations = Vec::new();
-    let mut state = initial.to_vec();
-    for (i, step) in phase_a.iter().enumerate() {
-        apply(&mut state, step);
-        explored += 1;
-        let dirty = checker.dirty_injections(Checker::affected_tag(step));
-        for mut v in checker.check_state(&state, &dirty, Phase::Update) {
-            v.step = i;
-            v.step_desc = step.to_string();
-            violations.push(v);
-        }
-    }
-    // The barrier lands on the post-phase-A state: once the routers flip,
-    // that state — old rules still present — must already show exactly the
-    // new behavior to the new generation, before any removal runs.
-    if !phase_a.is_empty() || !phase_b.is_empty() {
-        explored += 1;
-        for mut v in checker.check_state(&state, &checker.all_injections(), Phase::NewExact) {
-            v.step = phase_a.len().saturating_sub(1);
-            v.step_desc = "barrier".to_string();
-            violations.push(v);
-        }
-    }
-    for (i, step) in phase_b.iter().enumerate() {
-        apply(&mut state, step);
-        explored += 1;
-        let dirty = checker.dirty_injections(Checker::affected_tag(step));
-        for mut v in checker.check_state(&state, &dirty, Phase::NewExact) {
-            v.step = phase_a.len() + i;
-            v.step_desc = step.to_string();
-            violations.push(v);
-        }
-    }
-
-    if violations.is_empty() {
-        let barrier = phase_a.len();
-        let mut full = phase_a;
-        full.extend(phase_b);
-        SearchResult {
-            schedule: Some(Schedule {
-                order: full,
-                barrier,
-                two_phase: true,
-            }),
-            violations: Vec::new(),
-            explored,
-            check_us: start.elapsed().as_micros(),
-        }
-    } else {
-        SearchResult {
-            schedule: None,
-            violations,
-            explored,
-            check_us: start.elapsed().as_micros(),
-        }
+    order.extend(phase_b);
+    let schedule = Schedule {
+        order,
+        barrier,
+        two_phase: true,
+    };
+    let (violations, states) = judge_schedule(checker, initial, &schedule);
+    explored += states;
+    SearchResult {
+        schedule: violations.is_empty().then_some(schedule),
+        violations,
+        explored,
+        check_us: start.elapsed().as_micros(),
     }
 }
 
@@ -284,10 +312,7 @@ fn dfs(
         // inside equal-priority bands, and first-installed-wins makes
         // position behavior-relevant there.
         let saved = state.clone();
-        apply(state, step);
-        let dirty = checker.dirty_injections(Checker::affected_tag(step));
-        let safe = checker.check_state(state, &dirty, Phase::Update).is_empty();
-        if safe {
+        if step_violations(checker, state, step, Phase::Update).is_empty() {
             pending[i] = false;
             order.push(i);
             if dfs(checker, steps, state, order, pending, budget, explored) {
@@ -299,4 +324,102 @@ fn dfs(
         *state = saved;
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use sdx_ip::{Prefix, PrefixSet};
+    use sdx_policy::{Action, Field, Match, Pattern};
+
+    use super::*;
+    use crate::check::Injection;
+    use crate::delta::{classifier_of, diff, PlanRule};
+
+    const SENDER: u32 = 1;
+    const PORT: u32 = 10;
+    const PORT_A: u32 = 20;
+    const PORT_C: u32 = 30;
+    const T: u64 = 0xAA;
+    const T2: u64 = 0xBB;
+
+    fn pfx(s: &str) -> Prefix {
+        s.parse().unwrap()
+    }
+
+    fn rule(priority: u32, tag: u64, dst: Option<Prefix>, out: u32) -> PlanRule {
+        let mut m = Match::on(Field::Port, Pattern::Exact(u64::from(PORT)))
+            .and(Field::DstMac, Pattern::Exact(tag))
+            .unwrap();
+        if let Some(p) = dst {
+            m = m.and(Field::DstIp, Pattern::Prefix(p)).unwrap();
+        }
+        PlanRule {
+            priority,
+            match_: m,
+            actions: vec![Action::set(Field::Port, out)],
+            goto_table: None,
+        }
+    }
+
+    /// One sender emits p and q under T; the update moves p to T2. Removing
+    /// O (T, p) before the barrier blackholes p while T still carries q, so
+    /// T is not retired and no single-phase order exists. Installing M,
+    /// the barrier, then removing O is per-packet consistent.
+    #[test]
+    fn two_phase_fallback_synthesizes_install_barrier_remove() {
+        let (p, q) = (pfx("10.1.0.0/16"), pfx("10.2.0.0/16"));
+        let o = rule(200, T, Some(p), PORT_A);
+        let o2 = rule(100, T, Some(q), PORT_C);
+        let m = rule(300, T2, None, PORT_A);
+        let old = vec![vec![o.clone(), o2.clone()]];
+        let new = vec![vec![m.clone(), o2]];
+        let injections = vec![
+            Injection {
+                sender: SENDER,
+                port: PORT,
+                tag: T,
+                old_prefixes: vec![p, q],
+                new_prefixes: vec![q],
+            },
+            Injection {
+                sender: SENDER,
+                port: PORT,
+                tag: T2,
+                old_prefixes: vec![],
+                new_prefixes: vec![p],
+            },
+        ];
+        let entitled = |prefix| {
+            let mut set = PrefixSet::new();
+            set.insert(prefix);
+            set
+        };
+        let advertised: BTreeMap<(u32, u32), PrefixSet> =
+            [((2, SENDER), entitled(p)), ((3, SENDER), entitled(q))].into();
+        let checker = Checker::from_parts(
+            old.iter().map(classifier_of).collect(),
+            new.iter().map(classifier_of).collect(),
+            injections,
+            advertised,
+            [(PORT, SENDER), (PORT_A, 2), (PORT_C, 3)].into(),
+            1000,
+        );
+
+        let result = synthesize(
+            &checker,
+            &old,
+            &diff(&old, &new),
+            crate::DEFAULT_SEARCH_BUDGET,
+        );
+        assert!(result.violations.is_empty());
+        let schedule = result.schedule.expect("the two-phase plan is safe");
+        assert!(schedule.two_phase);
+        assert_eq!(schedule.barrier, 1);
+        assert_eq!(result.explored, 6);
+        let order: Vec<(DeltaOp, PlanRule)> =
+            schedule.order.into_iter().map(|s| (s.op, s.rule)).collect();
+        assert_eq!(order, [(DeltaOp::Install, m), (DeltaOp::Remove, o)]);
+    }
 }

@@ -1,9 +1,11 @@
 //! Soundness of the incremental delta-safety verifier on randomized
 //! streamed churn: for every checked delta, the persistent checker's
-//! verdict (warm partition cache, restricted universe, structural gate)
-//! must be identical to a from-scratch header-space check of the same
-//! event over the full universe with a cold cache — verdict, synthesized
-//! schedule, and witness content alike.
+//! verdict (structural gate, restricted universe) must be identical to a
+//! from-scratch header-space check of the same event over the full
+//! universe — verdict, synthesized schedule, and witness content alike.
+//! Every streamed make-before-break delta is also certified structurally,
+//! with no header-space work: the gate keeps no cache for symbolic deltas
+//! because streaming produces none.
 //!
 //! The runtime's own sampling oracle does the comparison
 //! ([`DeltaReport::agrees_with`]); with the sample interval at 1 every
@@ -155,6 +157,11 @@ fn incremental_verdicts_match_from_scratch_oracle() {
                 r.report.verdict,
                 DeltaVerdict::Rejected,
                 "fabric {fabrics}: MBB streamed schedules never reject"
+            );
+            assert!(
+                r.report.structural,
+                "fabric {fabrics}, prefix {}: streamed delta needed symbolic work",
+                r.prefix
             );
         }
     }

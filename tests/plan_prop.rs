@@ -11,11 +11,11 @@
 //!    at any intermediate state (pre-barrier), and sees exactly the new
 //!    behavior once the routers have flipped (post-barrier).
 
-use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sdx::core::hs::outcome;
 use sdx::core::{
     AnalysisMode, Clause, CompileOptions, Participant, ParticipantId, ParticipantPolicy,
     PortConfig, SdxRuntime,
@@ -250,17 +250,6 @@ fn probes(vi: &sdx::core::VerifyInput, rng: &mut StdRng) -> Vec<(u32, Packet)> {
         }
     }
     out
-}
-
-fn outcome(tables: &[Classifier], pkt: &Packet) -> BTreeSet<Packet> {
-    let mut cur: BTreeSet<Packet> = [pkt.clone()].into();
-    for t in tables {
-        cur = cur.iter().flat_map(|p| t.evaluate(p)).collect();
-        if cur.is_empty() {
-            break;
-        }
-    }
-    cur
 }
 
 /// Replaying the synthesized schedule, every intermediate lookup outcome of
