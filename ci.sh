@@ -195,7 +195,7 @@ echo "== delta-safety smoke (churn quick checked run + sdx-lint --delta)"
 # verdict.
 for key in delta_checked delta_certified delta_structural delta_denied \
            check_p50_us check_p99_us checked_eq_batch checked_over_baseline \
-           speedup_p50 agreed disagreed; do
+           incremental_p50_us speedup_p50 agreed disagreed; do
     grep -q "\"$key\":" "$smoke_dir/churn.json" || {
         echo "ci: churn json missing $key" >&2; exit 1
     }
@@ -231,6 +231,16 @@ if [ "$quick_p99" -gt "$budget" ]; then
     echo "ci: per-delta check p99 ${quick_p99}us blew the ${budget}us budget" >&2; exit 1
 fi
 echo "per-delta check p99 ${quick_p99}us (budget ${budget}us)"
+# The oracle's time stays out of the check time: the events the scale run
+# samples for the from-scratch oracle are structural like every other, so
+# their check p50 may be at most 20x the checked run's (floor 50 us).
+checked_p50=$(grep -o '"check_p50_us":[0-9]*' "$smoke_dir/churn.json" | head -1 | cut -d: -f2)
+sampled_p50=$(grep -o '"incremental_p50_us":[0-9]*' "$smoke_dir/churn.json" | cut -d: -f2)
+sampled_budget=$((checked_p50 * 20 > 50 ? checked_p50 * 20 : 50))
+if [ "$sampled_p50" -gt "$sampled_budget" ]; then
+    echo "ci: sampled delta check p50 ${sampled_p50}us blew the ${sampled_budget}us budget" >&2; exit 1
+fi
+echo "sampled delta check p50 ${sampled_p50}us (budget ${sampled_budget}us)"
 # Replay the adversarial fixture: the MBB deltas certify (exit 0) while
 # the naive ordering demonstrably blackholes (evidence, not a gate).
 out=$(target/release/sdx-lint --delta scenarios/delta-inconsistent.sdx) || {

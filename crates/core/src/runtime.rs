@@ -487,7 +487,7 @@ impl SdxRuntime {
         let stats = compilation.stats;
         self.compilation = Some(compilation);
         // Reseed the incremental delta verifier from the freshly installed
-        // state: the tables changed wholesale, so the whole emissions model
+        // state: the tables changed wholesale, so every prefix's record
         // starts over.
         if self.options.delta_check != AnalysisMode::Off {
             if let Some(vi) = self.verify_input() {
@@ -811,7 +811,7 @@ impl SdxRuntime {
                 .map(|vmac| self.delta_adds(&prefix, vmac, &adverts))
                 .unwrap_or_default();
             let advert_now = verify::advert_pairs(&self.participants, &adverts);
-            self.check_streamed_delta(prefix, adds, advert_now, schedule, steps)
+            self.check_streamed_delta(prefix, adds, advert_now, schedule)
         } else {
             None
         };
@@ -915,14 +915,12 @@ impl SdxRuntime {
         adds: Vec<sdx_plan::EmissionKey>,
         advert_now: Vec<(u32, u32)>,
         schedule: sdx_plan::Schedule,
-        naive: Vec<PlanStep>,
     ) -> Option<(sdx_plan::DeltaEvent, bool)> {
         let mut ev = sdx_plan::DeltaEvent {
             prefix,
             adds,
             advert_now,
             schedule,
-            naive,
         };
         ev.normalize();
         let sample_due = self.delta_sample > 0
@@ -932,13 +930,12 @@ impl SdxRuntime {
                 .saturating_add(1)
                 .is_multiple_of(self.delta_sample);
 
+        // The check's clock covers the table materialization only when the
+        // check itself asks for the tables, never when only the oracle does.
         let start = Instant::now();
-        let need = self.delta_checker.as_ref()?.needs_tables(&ev);
-        let tables = (need || sample_due || self.delta_judge_naive).then(|| self.installed_state());
-        let mut report = self
-            .delta_checker
-            .as_ref()?
-            .check_delta(&ev, tables.as_deref());
+        let checker = self.delta_checker.as_ref()?;
+        let mut tables = checker.needs_tables(&ev).then(|| self.installed_state());
+        let mut report = checker.check_delta(&ev, tables.as_deref());
         report.check_us = clamp_us(start.elapsed().as_micros());
 
         let s = &mut self.incremental;
@@ -960,15 +957,15 @@ impl SdxRuntime {
         s.delta_check_us = s.delta_check_us.saturating_add(report.check_us);
         s.last_check_us = s.last_check_us.saturating_add(report.check_us);
 
-        // From-scratch oracle on sampled events (which carry tables): same
-        // verdict pipeline, no gate, full universe — the soundness
-        // cross-check.
+        // From-scratch oracle on sampled events: same verdict pipeline, no
+        // gate, full universe — the soundness cross-check. Its clock covers
+        // the tables it materializes.
         let mut from_scratch = None;
         let mut from_scratch_us = 0;
         let mut agreed = None;
-        let oracle = tables.as_deref().filter(|_| sample_due);
-        if let (Some(t), Some(c)) = (oracle, self.delta_checker.as_ref()) {
+        if let (true, Some(c)) = (sample_due, self.delta_checker.as_ref()) {
             let t0 = Instant::now();
+            let t = tables.get_or_insert_with(|| self.installed_state());
             let fs = c.check_from_scratch(&ev, t);
             from_scratch_us = clamp_us(t0.elapsed().as_micros());
             agreed = Some(report.agrees_with(&fs));
@@ -1388,12 +1385,9 @@ mod tests {
     /// A random exchange: physical and remote participants, overlapping
     /// announcements (own prefixes, AS paths through other members),
     /// export denials, and filtered, unfiltered and inbound clauses.
-    fn random_fabric(seed: u64, multi_table: bool) -> SdxRuntime {
+    fn random_fabric(seed: u64, options: CompileOptions) -> SdxRuntime {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut sdx = SdxRuntime::new(CompileOptions {
-            multi_table,
-            ..Default::default()
-        });
+        let mut sdx = SdxRuntime::new(options);
         let n = rng.gen_range(3..=6u32);
         let ids: Vec<ParticipantId> = (1..=n).map(ParticipantId).collect();
         let pool: Vec<Prefix> = (0..8u32)
@@ -1467,7 +1461,11 @@ mod tests {
     fn random_fabric_model_equals_live_view() {
         for seed in 0..24 {
             for multi_table in [false, true] {
-                let mut sdx = random_fabric(seed, multi_table);
+                let options = CompileOptions {
+                    multi_table,
+                    ..Default::default()
+                };
+                let mut sdx = random_fabric(seed, options);
                 sdx.compile().unwrap();
                 model_is_live(&sdx);
                 let prefix = Prefix::from_bits(0x0a00_0000 | ((seed as u32 % 8) << 16), 16);
@@ -1480,6 +1478,61 @@ mod tests {
                 );
                 sdx.compile().unwrap();
                 model_is_live(&sdx);
+            }
+        }
+    }
+
+    /// The delta gate's model tracks the live view: after every streamed
+    /// update, the runtime's checker equals one seeded afresh from
+    /// [`SdxRuntime::verify_input`]. `delta_prop` compares verdicts of two
+    /// checks that read the same model, so only this catches a `commit`
+    /// that drifts from what the fabric emits.
+    #[test]
+    fn delta_checker_model_tracks_live_view() {
+        let pool: Vec<Prefix> = (0..8u32)
+            .map(|i| Prefix::from_bits(0x0a00_0000 | (i << 16), 16))
+            .collect();
+        for seed in 0..48 {
+            for multi_table in [false, true] {
+                let options = CompileOptions {
+                    multi_table,
+                    delta_check: AnalysisMode::Deny,
+                    ..Default::default()
+                };
+                let mut sdx = random_fabric(seed, options);
+                sdx.compile().unwrap();
+                let ids: Vec<ParticipantId> = sdx.participants.keys().copied().collect();
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+                for _ in 0..30 {
+                    let from = ids[rng.gen_range(0..ids.len())];
+                    let count = rng.gen_range(1..=3);
+                    let prefixes: Vec<Prefix> = (0..count)
+                        .map(|_| pool[rng.gen_range(0..pool.len())])
+                        .collect();
+                    if rng.gen_bool(0.3) {
+                        sdx.withdraw(from, prefixes);
+                    } else {
+                        let nh = match sdx.participants[&from].primary_port() {
+                            Some(port) => port.ip,
+                            None => Ipv4Addr::new(172, 0, 0, 100 + from.0 as u8),
+                        };
+                        let path = [65_000 + from.0, 64_999];
+                        let path = &path[..rng.gen_range(1..=2)];
+                        sdx.announce(from, prefixes, attrs(path, nh));
+                    }
+                    if sdx.needs_reoptimize() {
+                        sdx.compile().unwrap();
+                        continue;
+                    }
+                    let mut fresh = sdx_plan::IncrementalChecker::new();
+                    fresh.seed(&sdx.verify_input().expect("compiled"));
+                    assert_eq!(
+                        sdx.delta_checker.as_ref(),
+                        Some(&fresh),
+                        "seed {seed}, multi_table {multi_table}: the committed \
+                         model drifted from the live view"
+                    );
+                }
             }
         }
     }

@@ -9,10 +9,11 @@
 //! keeping the checking context alive across events and confining symbolic
 //! work to the header regions a delta actually touches:
 //!
-//! * **Persistent emissions model.** The per-(sender, port, tag) emission
-//!   map — which destinations each border router emits under which VMAC
-//!   tag — is maintained incrementally: a delta re-homes exactly one
-//!   prefix, so the map changes in O(affected keys), not O(RIB).
+//! * **One record per prefix.** The model keeps, for each prefix, the
+//!   emission keys (sender, ingress port, VMAC tag) whose border routers tag
+//!   it and the (advertiser, viewer) pairs entitled to it, plus an index
+//!   from each tag to the prefixes it carries. A delta re-homes exactly one
+//!   prefix, so committing it replaces one record.
 //! * **Dirty-region gate.** Each schedule step's match signature is
 //!   converted to a header-space [`Region`]. An injection needs re-checking
 //!   in a phase only if (a) its region intersects a step applied in that
@@ -59,7 +60,7 @@ use sdx_ip::{Prefix, PrefixSet};
 use sdx_policy::{Classifier, Field, Match, Region};
 
 use crate::check::{Checker, Injection, Phase, Violation};
-use crate::delta::{apply, classifier_of, PlanStep, TableState};
+use crate::delta::{apply, classifier_of, DeltaOp, PlanStep, TableState};
 use crate::search::{judge_order, judge_schedule, synthesize, Schedule};
 
 /// How the checker decided one streamed delta.
@@ -89,31 +90,35 @@ impl DeltaVerdict {
 /// One streamed delta, as the runtime's fast path sees it: the prefix being
 /// re-homed, the emission keys that will carry it after the event, the
 /// advertisement ground truth after the event, and the proposed schedule.
+///
+/// `adds` and `advert_now` must be sorted and deduplicated (order carries
+/// no meaning): the structural gate membership-tests `adds` by binary
+/// search, and [`IncrementalChecker::commit`] stores both lists as they
+/// are. Build with [`DeltaEvent::normalize`] or keep them sorted by
+/// construction.
 #[derive(Debug, Clone)]
 pub struct DeltaEvent {
     /// The prefix whose forwarding the delta migrates.
     pub prefix: Prefix,
     /// Emission keys that emit `prefix` *after* the event (new FIB
     /// generation). Every key currently emitting it implicitly loses it.
-    /// Must be sorted (order is not semantic) so the hot structural gate
-    /// can membership-test by binary search; build with
-    /// [`DeltaEvent::normalize`] or keep it sorted by construction.
     pub adds: Vec<EmissionKey>,
     /// `(advertiser, viewer)` pairs entitled to `prefix` after the event;
     /// leak classification uses the union of this and the pre-event truth.
     pub advert_now: Vec<(u32, u32)>,
-    /// The proposed (make-before-break) schedule.
+    /// The proposed (make-before-break) schedule. With naive judging on
+    /// (`sdx-lint --delta`), its removals followed by its installs — the
+    /// order a differ emits — are judged too, for evidence.
     pub schedule: Schedule,
-    /// The naive differ emission order (removals before installs), judged
-    /// for evidence when naive judging is enabled (`sdx-lint --delta`).
-    pub naive: Vec<PlanStep>,
 }
 
 impl DeltaEvent {
-    /// Restore the `adds` sorting invariant (order carries no meaning).
+    /// Restore the sorting invariant of `adds` and `advert_now`.
     pub fn normalize(&mut self) {
         self.adds.sort_unstable();
         self.adds.dedup();
+        self.advert_now.sort_unstable();
+        self.advert_now.dedup();
     }
 }
 
@@ -207,32 +212,28 @@ fn render_schedule(s: &Option<Schedule>) -> String {
     }
 }
 
+/// One prefix's share of the model: the emission keys whose routers tag it
+/// and the `(advertiser, viewer)` pairs entitled to it, each sorted and
+/// deduplicated. After a delta commits, the prefix's record is exactly the
+/// event's `adds` and `advert_now`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Record {
+    keys: Vec<EmissionKey>,
+    adverts: Vec<(u32, u32)>,
+}
+
 /// The persistent incremental verifier. One instance lives inside the
 /// runtime, reseeded at every full compile and consulted on every streamed
 /// delta before it is installed.
-#[derive(Debug, Default)]
+///
+/// The model is one [`Record`] per prefix plus an index from each tag to the
+/// prefixes carried under it. No record and no index entry is ever empty,
+/// so two checkers holding the same model compare equal.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct IncrementalChecker {
-    /// Current emission map: key → destinations that key's router emits.
-    ///
-    /// The per-event maps (`emissions`, `by_prefix`, `keys_by_tag`,
-    /// `advert_by_prefix`) are hash maps, not ordered maps: with thousands
-    /// of live prefixes the commit path performs hundreds of probes per
-    /// streamed event, and flat hashing beats deep tree walks both in probe
-    /// cost and in cache footprint. Nothing observable
-    /// iterates them directly — every consumer collects into an ordered
-    /// set first, so verdicts stay deterministic.
-    emissions: HashMap<EmissionKey, BTreeSet<Prefix>>,
-    /// Reverse index: prefix → emission keys currently carrying it
-    /// (sorted, deduplicated vectors — contiguous storage keeps the
-    /// per-event commit from churning the allocator at update rate).
-    by_prefix: HashMap<Prefix, Vec<EmissionKey>>,
-    /// Tag → emission keys carrying that tag (gate candidates).
-    keys_by_tag: HashMap<u64, BTreeSet<EmissionKey>>,
-    /// Current advertisement ground truth (leak classification).
-    advertised: BTreeMap<(u32, u32), PrefixSet>,
-    /// Reverse index: prefix → (advertiser, viewer) pairs entitled to it
-    /// (sorted, deduplicated).
-    advert_by_prefix: HashMap<Prefix, Vec<(u32, u32)>>,
+    records: HashMap<Prefix, Record>,
+    /// Tag → the prefixes whose records hold a key under that tag.
+    by_tag: HashMap<u64, BTreeSet<Prefix>>,
     port_owner: BTreeMap<u32, u32>,
     vport_base: u32,
     /// Judge the naive differ order of every delta for evidence
@@ -243,6 +244,14 @@ pub struct IncrementalChecker {
 /// The header-space region of one emission key: its ingress port and tag.
 fn key_region(key: &EmissionKey) -> Region {
     hs::injection_region(key.1, key.2)
+}
+
+/// The distinct tags of `keys`, ascending.
+fn tags_of<'a>(keys: impl IntoIterator<Item = &'a EmissionKey>) -> Vec<u64> {
+    let mut tags: Vec<u64> = keys.into_iter().map(|k| k.2).collect();
+    tags.sort_unstable();
+    tags.dedup();
+    tags
 }
 
 /// The header-space region a step's rule can affect, as seen at pipeline
@@ -260,6 +269,15 @@ fn step_region(step: &PlanStep) -> Region {
     }
 }
 
+/// The order a rule differ emits a schedule's steps in: removals, then
+/// installs. For a make-before-break schedule (a stable partition) this is
+/// the step list the schedule was built from.
+fn naive_order(schedule: &Schedule) -> Vec<PlanStep> {
+    let removals = schedule.order.iter().filter(|s| s.op == DeltaOp::Remove);
+    let installs = schedule.order.iter().filter(|s| s.op == DeltaOp::Install);
+    removals.chain(installs).cloned().collect()
+}
+
 impl IncrementalChecker {
     /// Fresh, empty checker (no emissions; certifies everything until
     /// seeded).
@@ -268,31 +286,26 @@ impl IncrementalChecker {
     }
 
     /// Reseed from a full compile's live verifier input: its FIBs decide
-    /// the emissions, `advertised` the ground truth.
+    /// the emission keys, `advertised` the ground truth.
     pub fn seed(&mut self, vi: &VerifyInput) {
-        self.emissions = vi.emissions().into_iter().collect();
-        self.by_prefix.clear();
-        self.keys_by_tag.clear();
-        for (key, prefixes) in &self.emissions {
-            self.keys_by_tag.entry(key.2).or_default().insert(*key);
+        self.records.clear();
+        self.by_tag.clear();
+        // Both sources iterate in key order, so every list of a record
+        // arrives sorted and deduplicated.
+        for (key, prefixes) in vi.emissions() {
             for p in prefixes {
-                self.by_prefix.entry(*p).or_default().push(*key);
+                self.records.entry(p).or_default().keys.push(key);
             }
         }
-        for keys in self.by_prefix.values_mut() {
-            keys.sort_unstable();
-            keys.dedup();
-        }
-        self.advertised = vi.advertised.clone();
-        self.advert_by_prefix.clear();
-        for (pair, set) in &self.advertised {
-            for p in set.iter() {
-                self.advert_by_prefix.entry(*p).or_default().push(*pair);
+        for (p, record) in &self.records {
+            for tag in tags_of(&record.keys) {
+                self.by_tag.entry(tag).or_default().insert(*p);
             }
         }
-        for pairs in self.advert_by_prefix.values_mut() {
-            pairs.sort_unstable();
-            pairs.dedup();
+        for (pair, prefixes) in &vi.advertised {
+            for p in prefixes {
+                self.records.entry(*p).or_default().adverts.push(*pair);
+            }
         }
         self.port_owner = vi
             .participants
@@ -313,74 +326,86 @@ impl IncrementalChecker {
     /// needed) or naive judging is on. The caller materializes tables only
     /// on `true` — the churn-rate path never pays for it.
     pub fn needs_tables(&self, ev: &DeltaEvent) -> bool {
-        if self.judge_naive && !ev.naive.is_empty() {
-            return true;
-        }
+        (self.judge_naive && !ev.schedule.order.is_empty()) || self.is_dirty(ev)
+    }
+
+    /// The structural gate: does a pre-barrier step meet a key that sends
+    /// before the barrier, or a post-barrier step one that sends after it?
+    fn is_dirty(&self, ev: &DeltaEvent) -> bool {
         let barrier = ev.schedule.barrier.min(ev.schedule.order.len());
-        self.phase_has_dirty(&ev.schedule.order[..barrier], ev, Phase::Update)
-            || self.phase_has_dirty(&ev.schedule.order[barrier..], ev, Phase::NewExact)
+        let (before, after) = ev.schedule.order.split_at(barrier);
+        self.phase_has_dirty(before, ev, Phase::Update)
+            || self.phase_has_dirty(after, ev, Phase::NewExact)
     }
 
-    /// Does `key` emit anything in `phase`, under the event's re-homing?
-    fn emits_in_phase(&self, key: &EmissionKey, ev: &DeltaEvent, phase: Phase) -> bool {
-        match phase {
-            Phase::Update => self.emissions.get(key).is_some_and(|s| !s.is_empty()),
-            Phase::NewExact => {
-                let in_adds = ev.adds.binary_search(key).is_ok();
-                match self.emissions.get(key) {
-                    Some(s) => in_adds || s.len() > usize::from(s.contains(&ev.prefix)),
-                    None => in_adds,
-                }
-            }
+    /// The records of the prefixes carried under `tag` (every record when
+    /// `None`); under one tag, in prefix order.
+    fn records_under(&self, tag: Option<u64>) -> impl Iterator<Item = (&Prefix, &Record)> + '_ {
+        let tagged = tag.map(|t| {
+            let prefixes = self.by_tag.get(&t).into_iter().flatten();
+            prefixes.filter_map(|p| self.records.get_key_value(p))
+        });
+        let all = tag.is_none().then(|| self.records.iter());
+        tagged
+            .into_iter()
+            .flatten()
+            .chain(all.into_iter().flatten())
+    }
+
+    /// The emission keys under `tag` (under every tag when `None`) that
+    /// send anything in `phase`. Before the barrier these are the keys in
+    /// the records of the tag's prefixes; after it, the same without the
+    /// event's own prefix, plus the event's `adds`.
+    fn sending_keys(
+        &self,
+        tag: Option<u64>,
+        ev: &DeltaEvent,
+        phase: Phase,
+    ) -> BTreeSet<EmissionKey> {
+        let on_tag = |k: &&EmissionKey| tag.is_none_or(|t| k.2 == t);
+        let after = phase == Phase::NewExact;
+        let mut keys: BTreeSet<EmissionKey> = self
+            .records_under(tag)
+            .filter(|(p, _)| !(after && **p == ev.prefix))
+            .flat_map(|(_, record)| record.keys.iter().filter(on_tag))
+            .copied()
+            .collect();
+        if after {
+            keys.extend(ev.adds.iter().filter(on_tag));
         }
+        keys
     }
 
-    /// The structural dirty-region gate for one phase: is there any
-    /// emission key whose region intersects a step applied in this phase
-    /// *and* whose phase-generation emissions are nonempty?
+    /// The structural dirty-region gate for one phase: does any step's
+    /// region meet the region of a key that sends in this phase under the
+    /// step's tag?
     fn phase_has_dirty(&self, steps: &[PlanStep], ev: &DeltaEvent, phase: Phase) -> bool {
         // Steps in a phase overwhelmingly share one tag (a re-homing retires
-        // one old tag and installs one new one), so the emitting-key scan —
-        // the expensive half, one `emissions` probe per key — is memoized
-        // per tag. The per-step work is then just region intersections
-        // against the (almost always empty) emitting set.
-        let emitting = |tag: u64| -> Vec<Region> {
-            let mut v = Vec::new();
-            if let Some(keys) = self.keys_by_tag.get(&tag) {
-                v.extend(
-                    keys.iter()
-                        .filter(|k| self.emits_in_phase(k, ev, phase))
-                        .map(key_region),
-                );
+        // one old tag and installs one new one), so the sending keys are
+        // looked up once per tag. The per-step work is then just region
+        // intersections against the (almost always empty) sending set.
+        let mut memo: BTreeMap<Option<u64>, Vec<Region>> = BTreeMap::new();
+        steps.iter().any(|step| {
+            let regions = memo
+                .entry(Checker::affected_tag(step))
+                .or_insert_with_key(|tag| {
+                    let keys = self.sending_keys(*tag, ev, phase);
+                    keys.iter().map(key_region).collect()
+                });
+            !regions.is_empty() && {
+                let sregion = step_region(step);
+                regions.iter().any(|r| r.intersect(&sregion).is_some())
             }
-            v.extend(
-                ev.adds
-                    .iter()
-                    .filter(|k| k.2 == tag && self.emits_in_phase(k, ev, phase))
-                    .map(key_region),
-            );
-            v
-        };
-        let mut memo: BTreeMap<u64, Vec<Region>> = BTreeMap::new();
-        let mut unpinned: Option<Vec<Region>> = None;
-        for step in steps {
-            let sregion = step_region(step);
-            let regions = match Checker::affected_tag(step) {
-                Some(tag) => memo.entry(tag).or_insert_with(|| emitting(tag)),
-                None => unpinned.get_or_insert_with(|| {
-                    self.emissions
-                        .keys()
-                        .chain(ev.adds.iter())
-                        .filter(|k| self.emits_in_phase(k, ev, phase))
-                        .map(key_region)
-                        .collect()
-                }),
-            };
-            if regions.iter().any(|r| r.intersect(&sregion).is_some()) {
-                return true;
-            }
-        }
-        false
+        })
+    }
+
+    /// The keys under `tag` that send in either phase. Under every tag
+    /// (`None`) this is the from-scratch universe: every key the event
+    /// involves.
+    fn involved(&self, tag: Option<u64>, ev: &DeltaEvent) -> BTreeSet<EmissionKey> {
+        let mut keys = self.sending_keys(tag, ev, Phase::Update);
+        keys.extend(self.sending_keys(tag, ev, Phase::NewExact));
+        keys
     }
 
     /// The symbolic universe for this event: every emission key whose tag
@@ -389,74 +414,61 @@ impl IncrementalChecker {
     /// set so tag-global judgements (retired-tag detection in the ordering
     /// search) match the full-universe ones.
     fn universe(&self, ev: &DeltaEvent) -> BTreeSet<EmissionKey> {
-        let mut tags = BTreeSet::new();
-        let mut unpinned = false;
-        for step in &ev.schedule.order {
-            match Checker::affected_tag(step) {
-                Some(t) => {
-                    tags.insert(t);
-                }
-                None => unpinned = true,
-            }
+        let tags: Option<BTreeSet<u64>> = ev
+            .schedule
+            .order
+            .iter()
+            .map(Checker::affected_tag)
+            .collect();
+        match tags {
+            Some(tags) => tags
+                .into_iter()
+                .flat_map(|t| self.involved(Some(t), ev))
+                .collect(),
+            None => self.involved(None, ev),
         }
-        let mut keys: BTreeSet<EmissionKey> = if unpinned {
-            self.emissions.keys().copied().collect()
-        } else {
-            tags.iter()
-                .filter_map(|t| self.keys_by_tag.get(t))
-                .flatten()
-                .copied()
-                .collect()
-        };
-        keys.extend(
-            ev.adds
-                .iter()
-                .filter(|k| unpinned || tags.contains(&k.2))
-                .copied(),
-        );
-        keys
-    }
-
-    /// Every emission key the event involves (the from-scratch universe).
-    fn full_universe(&self, ev: &DeltaEvent) -> BTreeSet<EmissionKey> {
-        let mut keys: BTreeSet<EmissionKey> = self.emissions.keys().copied().collect();
-        keys.extend(ev.adds.iter().copied());
-        keys
     }
 
     /// Materialize [`Injection`]s for `keys` under the event's re-homing.
-    /// Keys emitting nothing in either generation are skipped.
+    /// Every key of a universe sends in at least one generation.
     fn build_injections(&self, ev: &DeltaEvent, keys: &BTreeSet<EmissionKey>) -> Vec<Injection> {
-        keys.iter()
-            .filter_map(|key| {
-                let old: Vec<Prefix> = self
-                    .emissions
-                    .get(key)
-                    .map(|s| s.iter().copied().collect())
-                    .unwrap_or_default();
-                let mut new: BTreeSet<Prefix> =
-                    self.emissions.get(key).cloned().unwrap_or_default();
-                new.remove(&ev.prefix);
-                if ev.adds.binary_search(key).is_ok() {
-                    new.insert(ev.prefix);
+        // Invert the records of the universe's tags once: each key's
+        // pre-event prefixes, in prefix order.
+        let mut old: BTreeMap<EmissionKey, Vec<Prefix>> =
+            keys.iter().map(|k| (*k, Vec::new())).collect();
+        for tag in tags_of(keys) {
+            for (p, record) in self.records_under(Some(tag)) {
+                for key in record.keys.iter().filter(|k| k.2 == tag) {
+                    if let Some(prefixes) = old.get_mut(key) {
+                        prefixes.push(*p);
+                    }
                 }
-                if old.is_empty() && new.is_empty() {
-                    return None;
+            }
+        }
+        old.into_iter()
+            .map(|(key, old_prefixes)| {
+                let mut new_prefixes = old_prefixes.clone();
+                new_prefixes.retain(|p| *p != ev.prefix);
+                if ev.adds.binary_search(&key).is_ok() {
+                    let at = new_prefixes.partition_point(|p| *p < ev.prefix);
+                    new_prefixes.insert(at, ev.prefix);
                 }
-                Some(Injection {
+                Injection {
                     sender: key.0,
                     port: key.1,
                     tag: key.2,
-                    old_prefixes: old,
-                    new_prefixes: new.into_iter().collect(),
-                })
+                    old_prefixes,
+                    new_prefixes,
+                }
             })
             .collect()
     }
 
     /// Build the transient [`Checker`] for one event over `keys`: the
     /// tables before and after the proposed schedule, and the union ground
-    /// truth.
+    /// truth of the prefixes the injections carry — leak classification
+    /// looks up only a witness's destination, one of its injection's own
+    /// prefixes.
     fn transient_checker(
         &self,
         ev: &DeltaEvent,
@@ -470,9 +482,19 @@ impl IncrementalChecker {
             apply(&mut new_state, step);
         }
         let new_tables: Vec<Classifier> = new_state.iter().map(classifier_of).collect();
-        let mut advertised = self.advertised.clone();
-        for (a, v) in &ev.advert_now {
-            advertised.entry((*a, *v)).or_default().insert(ev.prefix);
+        let carried: BTreeSet<Prefix> = injections
+            .iter()
+            .flat_map(|i| i.old_prefixes.iter().chain(&i.new_prefixes))
+            .copied()
+            .collect();
+        let mut advertised: BTreeMap<(u32, u32), PrefixSet> = BTreeMap::new();
+        for p in &carried {
+            for pair in self.records.get(p).into_iter().flat_map(|r| &r.adverts) {
+                advertised.entry(*pair).or_default().insert(*p);
+            }
+        }
+        for pair in &ev.advert_now {
+            advertised.entry(*pair).or_default().insert(ev.prefix);
         }
         Checker::from_parts(
             old_tables,
@@ -490,20 +512,17 @@ impl IncrementalChecker {
     /// call [`commit`](Self::commit) once the delta is installed; a delta
     /// whose install is skipped needs no call.
     pub fn check_delta(&self, ev: &DeltaEvent, tables: Option<&[TableState]>) -> DeltaReport {
-        let barrier = ev.schedule.barrier.min(ev.schedule.order.len());
         // `tables == None` is the caller asserting `needs_tables` said no —
         // don't re-run the structural gate it just ran (it is the hot path
         // at churn rate); re-check only under debug assertions.
         let symbolic = if tables.is_none() && !self.judge_naive {
             debug_assert!(
-                !(self.phase_has_dirty(&ev.schedule.order[..barrier], ev, Phase::Update)
-                    || self.phase_has_dirty(&ev.schedule.order[barrier..], ev, Phase::NewExact)),
+                !self.is_dirty(ev),
                 "symbolic delta checked without table state"
             );
             false
         } else {
-            self.phase_has_dirty(&ev.schedule.order[..barrier], ev, Phase::Update)
-                || self.phase_has_dirty(&ev.schedule.order[barrier..], ev, Phase::NewExact)
+            self.is_dirty(ev)
         };
 
         let mut report = if !symbolic {
@@ -520,10 +539,10 @@ impl IncrementalChecker {
             self.check_symbolic(ev, &self.universe(ev), initial)
         };
 
-        if self.judge_naive && !ev.naive.is_empty() {
+        if self.judge_naive && !ev.schedule.order.is_empty() {
             if let Some(initial) = tables {
-                let checker = self.transient_checker(ev, &self.full_universe(ev), initial);
-                let (naive, _us) = judge_order(&checker, initial, &ev.naive);
+                let checker = self.transient_checker(ev, &self.involved(None, ev), initial);
+                let (naive, _us) = judge_order(&checker, initial, &naive_order(&ev.schedule));
                 report.naive_violations = naive;
             }
         }
@@ -578,75 +597,37 @@ impl IncrementalChecker {
     /// `sdx-plan` check of every intermediate state decides. Used by the
     /// soundness test and the bench's speedup measurement.
     pub fn check_from_scratch(&self, ev: &DeltaEvent, tables: &[TableState]) -> DeltaReport {
-        self.check_symbolic(ev, &self.full_universe(ev), tables)
+        self.check_symbolic(ev, &self.involved(None, ev), tables)
     }
 
-    /// Commit an installed delta: the prefix re-homed onto `ev.adds` and
-    /// its advertisements became `ev.advert_now`. Updates the emission maps
-    /// and the advertisement truth.
+    /// Commit an installed delta: the prefix's record becomes the event's
+    /// `adds` and `advert_now` (kept sorted by
+    /// [`DeltaEvent::normalize`]), and the tag index follows its keys.
     pub fn commit(&mut self, ev: &DeltaEvent) {
-        // Re-home the prefix in the emission maps.
-        let old_keys = self.by_prefix.remove(&ev.prefix).unwrap_or_default();
-        for key in &old_keys {
-            if let Some(set) = self.emissions.get_mut(key) {
-                set.remove(&ev.prefix);
-                if set.is_empty() {
-                    self.emissions.remove(key);
-                    if let Some(keys) = self.keys_by_tag.get_mut(&key.2) {
-                        keys.remove(key);
-                        if keys.is_empty() {
-                            self.keys_by_tag.remove(&key.2);
-                        }
-                    }
+        debug_assert!(
+            ev.adds.is_sorted() && ev.advert_now.is_sorted(),
+            "commit of an unnormalized event"
+        );
+        let record = Record {
+            keys: ev.adds.clone(),
+            adverts: ev.advert_now.clone(),
+        };
+        let new_tags = tags_of(&record.keys);
+        let old = if record == Record::default() {
+            self.records.remove(&ev.prefix)
+        } else {
+            self.records.insert(ev.prefix, record)
+        };
+        for tag in tags_of(old.iter().flat_map(|r| &r.keys)) {
+            if let Some(prefixes) = self.by_tag.get_mut(&tag) {
+                prefixes.remove(&ev.prefix);
+                if prefixes.is_empty() {
+                    self.by_tag.remove(&tag);
                 }
             }
         }
-        if !ev.adds.is_empty() {
-            let mut now = ev.adds.clone();
-            now.sort_unstable();
-            now.dedup();
-            for key in &now {
-                self.emissions.entry(*key).or_default().insert(ev.prefix);
-                self.keys_by_tag.entry(key.2).or_default().insert(*key);
-            }
-            self.by_prefix.insert(ev.prefix, now);
-        }
-
-        // Advertisement ground truth: merge-walk the sorted before/now pair
-        // lists so only the (typically tiny) symmetric difference touches
-        // the `advertised` map.
-        let mut now = ev.advert_now.clone();
-        now.sort_unstable();
-        now.dedup();
-        let before = self.advert_by_prefix.remove(&ev.prefix).unwrap_or_default();
-        let (mut i, mut j) = (0, 0);
-        while i < before.len() || j < now.len() {
-            match (before.get(i), now.get(j)) {
-                (Some(b), Some(n)) if b == n => {
-                    i += 1;
-                    j += 1;
-                }
-                (Some(b), Some(n)) if b < n => {
-                    if let Some(set) = self.advertised.get_mut(b) {
-                        set.remove(&ev.prefix);
-                    }
-                    i += 1;
-                }
-                (Some(b), None) => {
-                    if let Some(set) = self.advertised.get_mut(b) {
-                        set.remove(&ev.prefix);
-                    }
-                    i += 1;
-                }
-                (_, Some(n)) => {
-                    self.advertised.entry(*n).or_default().insert(ev.prefix);
-                    j += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
-            }
-        }
-        if !now.is_empty() {
-            self.advert_by_prefix.insert(ev.prefix, now);
+        for tag in new_tags {
+            self.by_tag.entry(tag).or_default().insert(ev.prefix);
         }
     }
 }
@@ -683,21 +664,28 @@ mod tests {
         PlanStep { table: 0, op, rule }
     }
 
+    /// Give `prefix` the record `keys` / `adverts`, through the model's
+    /// own writer: a commit with an empty schedule.
+    fn record(
+        c: &mut IncrementalChecker,
+        prefix: Prefix,
+        keys: &[EmissionKey],
+        adverts: &[(u32, u32)],
+    ) {
+        c.commit(&DeltaEvent {
+            prefix,
+            adds: keys.to_vec(),
+            advert_now: adverts.to_vec(),
+            schedule: make_before_break(&[]),
+        });
+    }
+
     /// A checker whose world has one sender emitting `prefix` under
     /// `OLD_TAG`, forwarded by one pinned rule, with the receiver entitled.
     fn seeded() -> (IncrementalChecker, Vec<TableState>) {
         let mut c = IncrementalChecker::new();
-        c.emissions
-            .insert((SENDER, PORT, OLD_TAG), [pfx("10.0.0.0/8")].into());
-        c.by_prefix
-            .insert(pfx("10.0.0.0/8"), [(SENDER, PORT, OLD_TAG)].into());
-        c.keys_by_tag
-            .insert(OLD_TAG, [(SENDER, PORT, OLD_TAG)].into());
-        let mut set = PrefixSet::new();
-        set.insert(pfx("10.0.0.0/8"));
-        c.advertised.insert((2, SENDER), set);
-        c.advert_by_prefix
-            .insert(pfx("10.0.0.0/8"), [(2, SENDER)].into());
+        let key = (SENDER, PORT, OLD_TAG);
+        record(&mut c, pfx("10.0.0.0/8"), &[key], &[(2, SENDER)]);
         c.port_owner = [(PORT, SENDER), (EGRESS, 2u32)].into();
         c.vport_base = 1000;
         let state = vec![vec![fwd_rule(OLD_TAG, 100)]];
@@ -716,7 +704,6 @@ mod tests {
             adds: vec![(SENDER, PORT, NEW_TAG)],
             advert_now: vec![(2, SENDER)],
             schedule: make_before_break(&steps),
-            naive: steps,
         }
     }
 
@@ -732,7 +719,6 @@ mod tests {
                 barrier: 0,
                 two_phase: true,
             },
-            naive: vec![],
         };
         assert!(!c.needs_tables(&ev));
         let r = c.check_delta(&ev, None);
@@ -755,11 +741,12 @@ mod tests {
         assert_eq!(fs.verdict, DeltaVerdict::Certified);
         assert!(r.agrees_with(&fs));
         c.commit(&ev);
-        assert_eq!(
-            c.emissions.get(&(SENDER, PORT, NEW_TAG)),
-            Some(&[pfx("10.0.0.0/8")].into())
-        );
-        assert!(!c.emissions.contains_key(&(SENDER, PORT, OLD_TAG)));
+        let moved = Record {
+            keys: vec![(SENDER, PORT, NEW_TAG)],
+            adverts: vec![(2, SENDER)],
+        };
+        assert_eq!(c.records, [(pfx("10.0.0.0/8"), moved)].into());
+        assert_eq!(c.by_tag, [(NEW_TAG, [pfx("10.0.0.0/8")].into())].into());
     }
 
     #[test]
@@ -797,7 +784,6 @@ mod tests {
                 barrier: 1,
                 two_phase: false,
             },
-            naive: vec![],
         };
         assert!(c.needs_tables(&ev));
         let r = c.check_delta(&ev, Some(&state));
@@ -838,18 +824,9 @@ mod tests {
         let m = fwd_rule(NEW_TAG, 300);
 
         let mut c = IncrementalChecker::new();
-        c.emissions
-            .insert((SENDER, PORT, OLD_TAG), [p_n, p_r].into());
-        c.by_prefix.insert(p_n, [(SENDER, PORT, OLD_TAG)].into());
-        c.by_prefix.insert(p_r, [(SENDER, PORT, OLD_TAG)].into());
-        c.keys_by_tag
-            .insert(OLD_TAG, [(SENDER, PORT, OLD_TAG)].into());
-        let mut set = PrefixSet::new();
-        set.insert(p_n);
-        set.insert(p_r);
-        c.advertised.insert((2, SENDER), set);
-        c.advert_by_prefix.insert(p_n, [(2, SENDER)].into());
-        c.advert_by_prefix.insert(p_r, [(2, SENDER)].into());
+        for p in [p_n, p_r] {
+            record(&mut c, p, &[(SENDER, PORT, OLD_TAG)], &[(2, SENDER)]);
+        }
         c.port_owner = [(PORT, SENDER), (EGRESS, 2u32), (22, 2), (23, 2)].into();
         c.vport_base = 1000;
         let state = vec![vec![o1.clone(), o2.clone()]];
@@ -865,7 +842,6 @@ mod tests {
             adds: vec![(SENDER, PORT, NEW_TAG)],
             advert_now: vec![(2, SENDER)],
             schedule: make_before_break(&steps),
-            naive: steps,
         };
         assert!(c.needs_tables(&ev));
         let r = c.check_delta(&ev, Some(&state));
@@ -884,11 +860,10 @@ mod tests {
             adds: vec![],
             advert_now: vec![],
             schedule: Schedule {
-                order: steps.clone(),
+                order: steps,
                 barrier: 0,
                 two_phase: true,
             },
-            naive: steps,
         };
         // Post-barrier removal of a tag with no new-generation emissions:
         // structurally certified.
@@ -896,8 +871,7 @@ mod tests {
         let r = c.check_delta(&ev, None);
         assert_eq!(r.verdict, DeltaVerdict::Certified);
         c.commit(&ev);
-        assert!(c.emissions.is_empty());
-        assert!(c.by_prefix.is_empty());
-        assert!(c.advertised.get(&(2, SENDER)).unwrap().is_empty());
+        assert!(c.records.is_empty());
+        assert!(c.by_tag.is_empty());
     }
 }
